@@ -1,10 +1,10 @@
 # Tier-1 verification and benchmark targets. `make ci` is what the CI
 # workflow runs: build, vet, unit tests, and the race suite over the
-# packages with concurrent hot paths (arena, executor, worker pool,
-# Horovod engine).
+# packages with concurrent hot paths (arena, executor, worker pool, mpi
+# transports, Horovod engine).
 
 GO ?= go
-RACE_PKGS = ./internal/tensor/... ./internal/graph/... ./internal/horovod/... ./internal/train/...
+RACE_PKGS = ./internal/tensor/... ./internal/graph/... ./internal/mpi/... ./internal/horovod/... ./internal/train/...
 
 FUZZ_PKGS = ./internal/mpi/ ./internal/horovod/ ./internal/train/
 FUZZTIME ?= 10s

@@ -11,15 +11,15 @@ import (
 // FramePool is a size-classed allocator for wire frame buffers — the
 // transport-level extension of the PR-1 arena discipline. Collectives get a
 // frame, serialize a segment into it, and hand ownership to the transport
-// (SendOwned); receivers reduce straight out of the received frame and
+// (Msg.Owned); receivers reduce straight out of the received frame and
 // return it. Steady-state collective traffic therefore recycles a small
 // working set of buffers instead of allocating per segment per step.
 //
 // Classes are powers of two from frameMinClass to frameMaxClass bytes;
-// larger requests fall through to plain make and are never pooled. Buffers
-// may migrate between pools (a frame obtained from one comm's pool and
-// released into another's) — every pooled buffer is a plain power-of-two
-// []byte, so pools are interchangeable free lists.
+// larger requests fall through to plain make and are never pooled. Every
+// pooled buffer is a plain power-of-two []byte, so a frame that crosses
+// rank boundaries in-process is released by whoever consumes it, and one
+// that is never returned (a subscriber kept it) is ordinary garbage.
 type FramePool struct {
 	classes [frameClasses]sync.Pool
 
@@ -34,9 +34,9 @@ const (
 	frameClasses  = frameMaxShift - frameMinShift + 1
 )
 
-// sharedFramePool backs every communicator that was not given its own pool
-// (Comm.SetFramePool). Endpoint decorators that need to release a frame
-// they cannot forward also return it here; see FramePool doc on migration.
+// sharedFramePool is the process's one frame pool: collectives get their
+// frames from it, the TCP read loop receives into it, and whichever
+// endpoint consumes an owned Msg releases the frame back to it.
 var sharedFramePool FramePool
 
 // frameClass returns the class index for a request of n bytes, or -1 if n
@@ -78,7 +78,7 @@ type frameBuf struct{ b []byte }
 
 var frameBoxPool = sync.Pool{New: func() any { return new(frameBuf) }}
 
-// Put returns a frame obtained from Get (any FramePool). Oversize or
+// Put returns a frame obtained from Get. Oversize or
 // odd-capacity buffers are dropped for the GC; Put(nil) is a no-op. The
 // caller must not touch the buffer afterwards.
 func (p *FramePool) Put(b []byte) {
@@ -106,38 +106,6 @@ type FramePoolStats struct {
 // of allocation-free frame reuses.
 func (p *FramePool) Stats() FramePoolStats {
 	return FramePoolStats{Gets: p.gets.Load(), Puts: p.puts.Load(), Misses: p.misses.Load()}
-}
-
-// ownedSender is the optional endpoint capability behind zero-copy sends: a
-// Send whose payload ownership transfers to the transport. The frame must
-// have come from a FramePool; the transport (or the receiving collective)
-// releases it when the bytes are on the wire or consumed. Decorators
-// (instrumentation, fault injection) forward the capability so the frame
-// stays pooled through the whole chain.
-type ownedSender interface {
-	SendOwned(to int, tag uint32, frame []byte) error
-}
-
-// sendOwnedVia sends frame through ep with ownership transfer when the
-// endpoint supports it, else falls back to a plain Send (the transport
-// copies) and releases the frame to pool immediately.
-func sendOwnedVia(ep Endpoint, pool *FramePool, to int, tag uint32, frame []byte) error {
-	if os, ok := ep.(ownedSender); ok {
-		return os.SendOwned(to, tag, frame)
-	}
-	err := ep.Send(to, tag, frame)
-	pool.Put(frame)
-	return err
-}
-
-// sendPooled is the Comm-level owned send: frame must come from c.pool.
-// When a flow is open and this is the collective's first frame to the peer,
-// the frame carries the flow's trace context (see Comm.BeginFlow).
-func (c *Comm) sendPooled(to int, tag uint32, frame []byte) error {
-	if ctx, ok := c.flowCtx(to); ok {
-		return c.flow.cs.SendOwnedCtx(to, tag, frame, ctx)
-	}
-	return sendOwnedVia(c.ep, c.pool, to, tag, frame)
 }
 
 // encodeFloats serializes src into dst (little-endian float32 bits).

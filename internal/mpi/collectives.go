@@ -53,7 +53,7 @@ func (c *Comm) Barrier() error {
 		from := (r - k + p) % p
 		tag := tagBarrier + uint32(round)
 		errCh := make(chan error, 1)
-		go func() { errCh <- c.csend(to, tag, nil) }()
+		go func() { errCh <- c.send(to, tag, Msg{}) }()
 		if _, err := c.ep.Recv(from, tag); err != nil {
 			return fmt.Errorf("barrier round %d: %w", round, joinSendErr(err, errCh))
 		}
@@ -110,7 +110,7 @@ func (c *Comm) BcastBytes(payload []byte, root int) ([]byte, error) {
 	for mask >>= 1; mask > 0; mask >>= 1 {
 		if vr+mask < p {
 			child := (vr + mask + root) % p
-			if err := c.csend(child, tagBcast, payload); err != nil {
+			if err := c.send(child, tagBcast, Msg{Buf: payload}); err != nil {
 				return nil, fmt.Errorf("bcast send: %w", err)
 			}
 		}
@@ -179,9 +179,9 @@ func (c *Comm) ringSender(st *ringState, buf []float32, to int) {
 		if err != nil {
 			continue
 		}
-		frame := c.pool.Get(4 * (req.hi - req.lo))
+		frame := sharedFramePool.Get(4 * (req.hi - req.lo))
 		encodeFloats(frame, buf[req.lo:req.hi])
-		if e := c.sendPooled(to, req.tag, frame); e != nil {
+		if e := c.send(to, req.tag, Msg{Buf: frame, Owned: true}); e != nil {
 			err = e
 		}
 	}
@@ -246,7 +246,7 @@ func (c *Comm) AllreduceRing(buf []float32, op ReduceOp) error {
 		} else {
 			decodeFloats(buf[lo:hi], raw)
 		}
-		c.pool.Put(raw)
+		sharedFramePool.Put(raw)
 		return nil
 	}
 	// step receives chunk's segments for round `round`; each segment that
@@ -329,9 +329,9 @@ func (c *Comm) AllreduceRecursiveDoubling(buf []float32, op ReduceOp) error {
 		tag := tagAllreduce + 0x8000 + uint32(round)
 		// Serialize into a pooled frame before spawning the send (the
 		// reduce below mutates buf); the transport releases the frame.
-		out := c.pool.Get(4 * len(buf))
+		out := sharedFramePool.Get(4 * len(buf))
 		encodeFloats(out, buf)
-		go func() { errCh <- c.sendPooled(peer, tag, out) }()
+		go func() { errCh <- c.send(peer, tag, Msg{Buf: out, Owned: true}) }()
 		in, err := c.ep.Recv(peer, tag)
 		if err != nil {
 			return fmt.Errorf("recursive doubling round %d: %w", round, joinSendErr(err, errCh))
@@ -340,7 +340,7 @@ func (c *Comm) AllreduceRecursiveDoubling(buf []float32, op ReduceOp) error {
 			return fmt.Errorf("recursive doubling: length mismatch %d vs %d bytes", len(in), 4*len(buf))
 		}
 		reduceFloatsFromBytes(buf, in, op)
-		c.pool.Put(in)
+		sharedFramePool.Put(in)
 		if err := <-errCh; err != nil {
 			return err
 		}
@@ -364,7 +364,7 @@ func (c *Comm) AllgatherBytes(mine []byte) ([][]byte, error) {
 			parts[from] = b
 		}
 	} else {
-		if err := c.csend(0, tagGather, mine); err != nil {
+		if err := c.send(0, tagGather, Msg{Buf: mine}); err != nil {
 			return nil, fmt.Errorf("allgather send: %w", err)
 		}
 	}

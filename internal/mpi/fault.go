@@ -136,144 +136,61 @@ func (f *FaultTransport) Rank() int { return f.inner.Rank() }
 func (f *FaultTransport) Size() int { return f.inner.Size() }
 
 // decide draws one Send's fault outcome under the lock so the sequence is
-// deterministic even with concurrent senders. discard covers both an active
-// partition and a probabilistic drop.
-func (f *FaultTransport) decide(to int) (discard, delay, dup bool) {
+// deterministic even with concurrent senders, and so the delay it returns
+// (zero = none) is read from the same config snapshot as the draw — SetConfig
+// may swap the template mid-run. discard covers both an active partition and
+// a probabilistic drop.
+func (f *FaultTransport) decide(to int) (discard bool, delay time.Duration, dup bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.blocked[to] {
 		f.stats.Blocked++
-		return true, false, false
+		return true, 0, false
 	}
-	var drop bool
-	if f.cfg.DropProb > 0 {
-		drop = f.rng.Float64() < f.cfg.DropProb
-	}
-	if !drop && f.cfg.DelayProb > 0 && f.cfg.Delay > 0 {
-		delay = f.rng.Float64() < f.cfg.DelayProb
-	}
-	if !drop && f.cfg.DupProb > 0 {
-		dup = f.rng.Float64() < f.cfg.DupProb
-	}
-	switch {
-	case drop:
+	if f.cfg.DropProb > 0 && f.rng.Float64() < f.cfg.DropProb {
 		f.stats.Dropped++
-	default:
-		f.stats.Sent++
-		if delay {
-			f.stats.Delayed++
-		}
-		if dup {
-			f.stats.Duplicated++
-		}
+		return true, 0, false
 	}
-	return drop, delay, dup
+	if f.cfg.DelayProb > 0 && f.cfg.Delay > 0 && f.rng.Float64() < f.cfg.DelayProb {
+		delay = f.cfg.Delay
+		f.stats.Delayed++
+	}
+	if f.cfg.DupProb > 0 && f.rng.Float64() < f.cfg.DupProb {
+		dup = true
+		f.stats.Duplicated++
+	}
+	f.stats.Sent++
+	return false, delay, dup
 }
 
-// Send delivers payload through the inner transport, subject to the
-// configured faults.
-func (f *FaultTransport) Send(to int, tag uint32, payload []byte) error {
+// Send delivers m through the inner transport, subject to the configured
+// faults. Exactly one decide() draw happens per logical send whatever m
+// carries, so arming causal tracing or pooled frames does not perturb a
+// seeded fault sequence. A discarded owned frame is released to the pool.
+func (f *FaultTransport) Send(to int, tag uint32, m Msg) error {
 	discard, delay, dup := f.decide(to)
 	if discard {
+		m.release()
 		return nil
 	}
-	if delay {
-		time.Sleep(f.cfg.Delay)
+	if delay > 0 {
+		time.Sleep(delay)
 	}
-	if err := f.inner.Send(to, tag, payload); err != nil {
+	if !dup {
+		return f.inner.Send(to, tag, m)
+	}
+	// Duplicated: the original goes first as a borrowed copy carrying the
+	// trace context, then m itself — ownership included — ships unstamped as
+	// the duplicate: one flow arrow per logical send.
+	if err := f.inner.Send(to, tag, Msg{Buf: m.Buf, Ctx: m.Ctx}); err != nil {
+		m.release()
 		return err
 	}
-	if dup {
-		if err := f.inner.Send(to, tag, payload); err != nil {
-			return fmt.Errorf("mpi: fault duplicate: %w", err)
-		}
+	m.Ctx = TraceCtx{}
+	if err := f.inner.Send(to, tag, m); err != nil {
+		return fmt.Errorf("mpi: fault duplicate: %w", err)
 	}
 	return nil
-}
-
-// SendOwned forwards the zero-copy send capability with the same fault
-// model. A discarded frame is released back to the pool (the ownership
-// contract: the frame is always consumed). A duplicated send delivers the
-// original via the copying path first, then ships the owned frame as the
-// duplicate.
-func (f *FaultTransport) SendOwned(to int, tag uint32, frame []byte) error {
-	discard, delay, dup := f.decide(to)
-	if discard {
-		sharedFramePool.Put(frame)
-		return nil
-	}
-	if delay {
-		time.Sleep(f.cfg.Delay)
-	}
-	if dup {
-		if err := f.inner.Send(to, tag, frame); err != nil {
-			sharedFramePool.Put(frame)
-			return err
-		}
-		if err := sendOwnedVia(f.inner, &sharedFramePool, to, tag, frame); err != nil {
-			return fmt.Errorf("mpi: fault duplicate: %w", err)
-		}
-		return nil
-	}
-	return sendOwnedVia(f.inner, &sharedFramePool, to, tag, frame)
-}
-
-// SendCtx applies the fault model to a context-stamped send. Exactly one
-// decide() draw happens per logical send — same as Send — so arming causal
-// tracing does not perturb a seeded fault sequence. A duplicated send ships
-// the stamped frame first and an unstamped copy second: one flow arrow per
-// logical send.
-func (f *FaultTransport) SendCtx(to int, tag uint32, payload []byte, ctx TraceCtx) error {
-	cs, ok := f.inner.(ctxSender)
-	if !ok || ctx.Span == 0 {
-		return f.Send(to, tag, payload)
-	}
-	discard, delay, dup := f.decide(to)
-	if discard {
-		return nil
-	}
-	if delay {
-		time.Sleep(f.cfg.Delay)
-	}
-	if err := cs.SendCtx(to, tag, payload, ctx); err != nil {
-		return err
-	}
-	if dup {
-		if err := f.inner.Send(to, tag, payload); err != nil {
-			return fmt.Errorf("mpi: fault duplicate: %w", err)
-		}
-	}
-	return nil
-}
-
-// SendOwnedCtx is SendOwned under the fault model with a trace context on
-// the original delivery; see SendCtx for the determinism contract.
-func (f *FaultTransport) SendOwnedCtx(to int, tag uint32, frame []byte, ctx TraceCtx) error {
-	cs, ok := f.inner.(ctxSender)
-	if !ok || ctx.Span == 0 {
-		return f.SendOwned(to, tag, frame)
-	}
-	discard, delay, dup := f.decide(to)
-	if discard {
-		sharedFramePool.Put(frame)
-		return nil
-	}
-	if delay {
-		time.Sleep(f.cfg.Delay)
-	}
-	if dup {
-		// Stamped copy first (the original), then the owned frame as the
-		// unstamped duplicate.
-		if err := cs.SendCtx(to, tag, frame, ctx); err != nil {
-			sharedFramePool.Put(frame)
-			return err
-		}
-		if err := sendOwnedVia(f.inner, &sharedFramePool, to, tag, frame); err != nil {
-			return fmt.Errorf("mpi: fault duplicate: %w", err)
-		}
-		return nil
-	}
-	return cs.SendOwnedCtx(to, tag, frame, ctx)
 }
 
 // Recv passes through: faults are injected on the send side only.
@@ -289,12 +206,5 @@ func (f *FaultTransport) Close() error { return f.inner.Close() }
 // apply on the send side, so subscribed traffic still sees them.
 func (f *FaultTransport) Unwrap() Endpoint { return f.inner }
 
-// Abort forwards an abrupt teardown to the inner endpoint if it supports
-// one, else falls back to Close.
-func (f *FaultTransport) Abort() {
-	if a, ok := f.inner.(interface{ Abort() }); ok {
-		a.Abort()
-		return
-	}
-	f.inner.Close()
-}
+// Abort forwards an abrupt teardown to the inner endpoint.
+func (f *FaultTransport) Abort() { f.inner.Abort() }

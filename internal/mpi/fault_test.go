@@ -119,7 +119,7 @@ func TestFaultInjectionDeterministic(t *testing.T) {
 		var droppedAt []int
 		for i := 0; i < 64; i++ {
 			before := ft.Stats().Dropped
-			if err := ft.Send(1, uint32(i), []byte{byte(i)}); err != nil {
+			if err := ft.Send(1, uint32(i), Msg{Buf: []byte{byte(i)}}); err != nil {
 				t.Fatal(err)
 			}
 			if ft.Stats().Dropped > before {
@@ -239,5 +239,34 @@ func TestFaultTransportForwardsAbort(t *testing.T) {
 	}
 	if errors.Is(pe.Err, ErrPeerClosed) {
 		t.Fatal("abort must not look like a graceful goodbye")
+	}
+}
+
+// SetConfig (scenario `set_faults`) may swap the template while a sender is
+// mid-Send: the delay a send sleeps must come from the same locked snapshot
+// as its draw, not from a second unlocked read of the config. Run under
+// -race, which flagged exactly that read.
+func TestFaultSetConfigDuringDelayedSends(t *testing.T) {
+	const sends = 200
+	w, err := NewWorld(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ft := NewFaultTransport(w.Comm(0).Endpoint(), FaultConfig{Seed: 1, DelayProb: 1, Delay: time.Microsecond})
+	swapped := make(chan struct{})
+	go func() {
+		defer close(swapped)
+		for i := 0; i < sends; i++ {
+			ft.SetConfig(FaultConfig{Seed: 1, DelayProb: 1, Delay: time.Duration(1+i%3) * time.Microsecond})
+		}
+	}()
+	for i := 0; i < sends; i++ {
+		if err := ft.Send(1, uint32(i), Msg{Buf: []byte{byte(i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-swapped
+	if got := ft.Stats().Delayed; got != sends {
+		t.Fatalf("Delayed = %d, want %d", got, sends)
 	}
 }

@@ -103,48 +103,24 @@ func (c *Comm) RootMembers() []int {
 	return roots
 }
 
-// findCapability walks the decorator chain from ep looking for the asked-for
-// optional interface.
-func findCapability[T any](ep Endpoint) (T, bool) {
-	for e := ep; e != nil; {
-		if cap, ok := e.(T); ok {
-			return cap, true
-		}
-		u, ok := e.(unwrapper)
-		if !ok {
-			break
-		}
-		e = u.Unwrap()
-	}
-	var zero T
-	return zero, false
+// rejoiner is the optional transport capability behind the regrow protocol:
+// a mesh whose dead peer slots can be reconnected. The in-process transport
+// does not need it (mailboxes always exist); TCP implements it.
+type rejoiner interface {
+	EnableRejoin()
+	RedialPeer(rank int, addr string, timeout time.Duration) error
+	ReadmitWait(rank int, timeout time.Duration) error
+	PeerAddrs() []string
+	SetPeerAddr(rank int, addr string)
 }
-
-// Optional transport capabilities behind the regrow protocol. The in-process
-// transport needs none of them (mailboxes always exist); TCP implements all.
-type (
-	peerRedialer interface {
-		RedialPeer(rank int, addr string, timeout time.Duration) error
-	}
-	readmitWaiter interface {
-		ReadmitWait(rank int, timeout time.Duration) error
-	}
-	peerAddrTable interface {
-		PeerAddrs() []string
-		SetPeerAddr(rank int, addr string)
-	}
-	rejoinEnabler interface {
-		EnableRejoin()
-	}
-)
 
 // EnableRejoin arms the transport's rejoin acceptor (TCP: a goroutine on the
 // retained listener that readmits crashed peers' fresh connections). Returns
 // false when the transport needs no arming (in-process). Safe to call more
 // than once.
 func EnableRejoin(c *Comm) bool {
-	if en, ok := findCapability[rejoinEnabler](c.ep); ok {
-		en.EnableRejoin()
+	if rj, ok := findCapability[rejoiner](c.ep); ok {
+		rj.EnableRejoin()
 		return true
 	}
 	return false
@@ -153,8 +129,8 @@ func EnableRejoin(c *Comm) bool {
 // PeerAddrs returns the transport's peer address table (TCP: the rendezvous
 // table, kept current through readmits), or nil for transports without one.
 func (c *Comm) PeerAddrs() []string {
-	if tab, ok := findCapability[peerAddrTable](c.ep); ok {
-		return tab.PeerAddrs()
+	if rj, ok := findCapability[rejoiner](c.ep); ok {
+		return rj.PeerAddrs()
 	}
 	return nil
 }
@@ -252,11 +228,11 @@ func (c *Comm) Grow(joiners []JoinRequest, opts GrowOptions) (*Comm, []int, erro
 
 	// Keep the transport's address table current so a future admit (or a
 	// shifted leader) can name every member's listener.
-	tab, hasTab := findCapability[peerAddrTable](rootEp)
-	if hasTab {
+	rj, canRejoin := findCapability[rejoiner](rootEp)
+	if canRejoin {
 		for _, j := range joiners {
 			if j.Addr != "" {
-				tab.SetPeerAddr(j.Root, j.Addr)
+				rj.SetPeerAddr(j.Root, j.Addr)
 			}
 		}
 	}
@@ -267,8 +243,8 @@ func (c *Comm) Grow(joiners []JoinRequest, opts GrowOptions) (*Comm, []int, erro
 	// the link exists.
 	if c.Rank() == 0 {
 		var addrs []string
-		if hasTab {
-			addrs = tab.PeerAddrs()
+		if canRejoin {
+			addrs = rj.PeerAddrs()
 		}
 		joinerRoot := make(map[int]bool, len(joiners))
 		for _, j := range joiners {
@@ -276,7 +252,7 @@ func (c *Comm) Grow(joiners []JoinRequest, opts GrowOptions) (*Comm, []int, erro
 		}
 		reply := encodeJoinReply(joinAdmit, opts.Epoch, newMembers, joinerRoot, addrs)
 		for _, j := range joiners {
-			if err := rootEp.Send(j.Root, TagJoinReply, reply); err != nil {
+			if err := rootEp.Send(j.Root, TagJoinReply, Msg{Buf: reply}); err != nil {
 				return nil, nil, &PeerError{Rank: j.Root, Op: OpGrow, Err: err}
 			}
 		}
@@ -285,9 +261,9 @@ func (c *Comm) Grow(joiners []JoinRequest, opts GrowOptions) (*Comm, []int, erro
 	// Connect phase: wait for each joiner's fresh transport connection (the
 	// joiner dials every member after its admit). Transports that never
 	// lose connections (in-process) skip this.
-	if w, ok := findCapability[readmitWaiter](rootEp); ok {
+	if canRejoin {
 		for _, j := range joiners {
-			if err := w.ReadmitWait(j.Root, opts.ConnectTimeout); err != nil {
+			if err := rj.ReadmitWait(j.Root, opts.ConnectTimeout); err != nil {
 				return nil, nil, &PeerError{Rank: j.Root, Op: OpGrow, Err: err}
 			}
 		}
@@ -455,8 +431,7 @@ func completeJoin(c *Comm, myRoot, epoch int, members []int, joinerRoots map[int
 		return nil, fmt.Errorf("mpi: rejoin: admit for epoch %d omits this rank (%d)", epoch, myRoot)
 	}
 	rootEp, _ := rootView(c.ep)
-	if rd, ok := findCapability[peerRedialer](rootEp); ok {
-		w, hasWait := findCapability[readmitWaiter](rootEp)
+	if rj, ok := findCapability[rejoiner](rootEp); ok {
 		for _, peer := range members {
 			if peer == myRoot {
 				continue
@@ -464,10 +439,8 @@ func completeJoin(c *Comm, myRoot, epoch int, members []int, joinerRoots map[int
 			// Joiners dial every survivor; between co-joiners the higher
 			// root rank dials the lower, and the lower awaits the dial.
 			if joinerRoots[peer] && peer > myRoot {
-				if hasWait {
-					if err := w.ReadmitWait(peer, opts.ConnectTimeout); err != nil {
-						return nil, &PeerError{Rank: peer, Op: OpJoin, Err: err}
-					}
+				if err := rj.ReadmitWait(peer, opts.ConnectTimeout); err != nil {
+					return nil, &PeerError{Rank: peer, Op: OpJoin, Err: err}
 				}
 				continue
 			}
@@ -475,7 +448,7 @@ func completeJoin(c *Comm, myRoot, epoch int, members []int, joinerRoots map[int
 			if peer < len(addrs) {
 				addr = addrs[peer]
 			}
-			if err := rd.RedialPeer(peer, addr, opts.ConnectTimeout); err != nil {
+			if err := rj.RedialPeer(peer, addr, opts.ConnectTimeout); err != nil {
 				return nil, &PeerError{Rank: peer, Op: OpJoin, Err: err}
 			}
 		}

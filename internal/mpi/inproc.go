@@ -8,15 +8,6 @@ import (
 	"time"
 )
 
-// inprocMsg is one queued message. ctx carries the sender's causal trace
-// context (zero Span = unstamped); both transports queue this struct, so
-// context survives mailbox buffering and out-of-tag reordering alike.
-type inprocMsg struct {
-	tag     uint32
-	payload []byte
-	ctx     TraceCtx
-}
-
 // WorldOptions configures the in-process transport.
 type WorldOptions struct {
 	// RecvTimeout bounds each Recv; an expiry yields a typed *PeerError
@@ -32,53 +23,8 @@ type WorldOptions struct {
 type World struct {
 	n     int
 	opts  WorldOptions
-	boxes [][]chan inprocMsg // boxes[to][from]
-	once  []sync.Once
-
-	subMu sync.RWMutex
-	subs  []map[uint32]chan Tagged // per destination rank: tag -> channel
-}
-
-// subscribe registers a tag side channel for rank (inprocEndpoint.Subscribe).
-// Senders route matching messages into it instead of the rank's mailbox.
-func (w *World) subscribe(rank int, tag uint32, buf int) (<-chan Tagged, error) {
-	if buf < 1 {
-		buf = 64
-	}
-	w.subMu.Lock()
-	defer w.subMu.Unlock()
-	if w.subs == nil {
-		w.subs = make([]map[uint32]chan Tagged, w.n)
-	}
-	if w.subs[rank] == nil {
-		w.subs[rank] = make(map[uint32]chan Tagged)
-	}
-	if _, dup := w.subs[rank][tag]; dup {
-		return nil, fmt.Errorf("mpi: rank %d tag %#x already subscribed", rank, tag)
-	}
-	ch := make(chan Tagged, buf)
-	w.subs[rank][tag] = ch
-	return ch, nil
-}
-
-// subDeliver routes a message to rank `to`'s subscription for tag, if one
-// exists. Non-blocking: a full subscriber drops, matching the lossy
-// side-channel contract of the TCP transport.
-func (w *World) subDeliver(to, from int, tag uint32, payload []byte) bool {
-	w.subMu.RLock()
-	var ch chan Tagged
-	if w.subs != nil && w.subs[to] != nil {
-		ch = w.subs[to][tag]
-	}
-	w.subMu.RUnlock()
-	if ch == nil {
-		return false
-	}
-	select {
-	case ch <- Tagged{From: from, Payload: payload}:
-	default:
-	}
-	return true
+	boxes [][]*mailbox // boxes[to][from]
+	subs  []subTable   // per destination rank
 }
 
 // NewWorld creates an n-rank in-process job with default options.
@@ -89,11 +35,11 @@ func NewWorldOpts(n int, opts WorldOptions) (*World, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("mpi: world size %d < 1", n)
 	}
-	w := &World{n: n, opts: opts, boxes: make([][]chan inprocMsg, n), once: make([]sync.Once, n)}
+	w := &World{n: n, opts: opts, boxes: make([][]*mailbox, n), subs: make([]subTable, n)}
 	for to := 0; to < n; to++ {
-		w.boxes[to] = make([]chan inprocMsg, n)
+		w.boxes[to] = make([]*mailbox, n)
 		for from := 0; from < n; from++ {
-			w.boxes[to][from] = make(chan inprocMsg, 1024)
+			w.boxes[to][from] = newMailbox()
 		}
 	}
 	return w, nil
@@ -107,7 +53,7 @@ func (w *World) Comm(r int) *Comm {
 	if r < 0 || r >= w.n {
 		panic(fmt.Sprintf("mpi: rank %d out of range [0,%d)", r, w.n))
 	}
-	return NewComm(&inprocEndpoint{w: w, rank: r, pending: make(map[int][]inprocMsg)})
+	return NewComm(&inprocEndpoint{w: w, rank: r})
 }
 
 // Rejoin returns a fresh communicator for a rank whose previous endpoint
@@ -120,22 +66,10 @@ func (w *World) Rejoin(r int) *Comm {
 	if r < 0 || r >= w.n {
 		panic(fmt.Sprintf("mpi: rank %d out of range [0,%d)", r, w.n))
 	}
-	for from := 0; from < w.n; from++ {
-		for {
-			select {
-			case <-w.boxes[r][from]:
-			default:
-			}
-			if len(w.boxes[r][from]) == 0 {
-				break
-			}
-		}
+	for _, mb := range w.boxes[r] {
+		mb.reset()
 	}
-	w.subMu.Lock()
-	if w.subs != nil {
-		w.subs[r] = nil
-	}
-	w.subMu.Unlock()
+	w.subs[r].clear()
 	return w.Comm(r)
 }
 
@@ -156,133 +90,62 @@ func (w *World) Run(fn func(c *Comm) error) error {
 }
 
 type inprocEndpoint struct {
-	w       *World
-	rank    int
-	closed  bool
-	mu      sync.Mutex
-	pending map[int][]inprocMsg // from -> out-of-tag frames awaiting a match
-	sink    atomic.Pointer[TraceSink]
+	w      *World
+	rank   int
+	closed atomic.Bool
+	traceHook
 }
 
 func (e *inprocEndpoint) Rank() int { return e.rank }
 func (e *inprocEndpoint) Size() int { return e.w.n }
 
-func (e *inprocEndpoint) Send(to int, tag uint32, payload []byte) error {
-	return e.SendCtx(to, tag, payload, TraceCtx{})
-}
-
-// SendCtx is Send with a causal trace context attached to the frame.
-func (e *inprocEndpoint) SendCtx(to int, tag uint32, payload []byte, ctx TraceCtx) error {
+// Send queues m in the peer's mailbox. A borrowed payload is copied so the
+// sender may reuse its buffer immediately (MPI semantics); an owned frame
+// goes in as is, and the receiver (or the pool, on a failed delivery) takes
+// it from there — which makes a collective segment zero-copy from
+// serialization to reduce.
+func (e *inprocEndpoint) Send(to int, tag uint32, m Msg) error {
 	if err := e.check(to); err != nil {
+		m.release()
 		return err
 	}
-	// Copy so senders may reuse their buffer immediately (MPI semantics).
-	cp := append([]byte(nil), payload...)
-	if e.w.subDeliver(to, e.rank, tag, cp) {
+	buf := m.Buf
+	if !m.Owned {
+		buf = append([]byte(nil), buf...)
+	}
+	// Subscribers own delivered payloads indefinitely (and a full subscriber
+	// drops); either way an owned frame leaves the pool's accounting —
+	// sync.Pool makes that a GC matter, not a leak.
+	if e.w.subs[to].deliver(e.rank, tag, buf) {
 		return nil
 	}
-	e.w.boxes[to][e.rank] <- inprocMsg{tag: tag, payload: cp, ctx: ctx}
+	e.w.boxes[to][e.rank].ch <- frame{tag: tag, buf: buf, ctx: m.Ctx}
 	return nil
-}
-
-// SendOwned delivers a pooled frame with ownership transfer: the frame goes
-// into the mailbox without the defensive copy Send makes, and the receiver
-// (or the pool, on a failed delivery) takes it from there. In-process this
-// makes a collective segment zero-copy from serialization to reduce.
-func (e *inprocEndpoint) SendOwned(to int, tag uint32, frame []byte) error {
-	return e.SendOwnedCtx(to, tag, frame, TraceCtx{})
-}
-
-// SendOwnedCtx is SendOwned with a causal trace context attached.
-func (e *inprocEndpoint) SendOwnedCtx(to int, tag uint32, frame []byte, ctx TraceCtx) error {
-	if err := e.check(to); err != nil {
-		sharedFramePool.Put(frame)
-		return err
-	}
-	if e.w.subDeliver(to, e.rank, tag, frame) {
-		// Subscribers own delivered payloads indefinitely (and a full
-		// subscriber drops); either way the frame leaves the pool's
-		// accounting — sync.Pool makes that a GC matter, not a leak.
-		return nil
-	}
-	e.w.boxes[to][e.rank] <- inprocMsg{tag: tag, payload: frame, ctx: ctx}
-	return nil
-}
-
-// SetTraceSink installs the receive-side causal-trace observer.
-func (e *inprocEndpoint) SetTraceSink(sink TraceSink) {
-	if sink == nil {
-		e.sink.Store(nil)
-		return
-	}
-	e.sink.Store(&sink)
-}
-
-// observe reports a delivered stamped frame to the trace sink, if any.
-func (e *inprocEndpoint) observe(from int, m inprocMsg) {
-	if m.ctx.Span == 0 {
-		return
-	}
-	if s := e.sink.Load(); s != nil {
-		(*s)(from, m.tag, m.ctx)
-	}
 }
 
 // Subscribe registers a tag side channel for this rank in the world, so
 // senders deliver matching messages out of band (see Comm.Subscribe).
 func (e *inprocEndpoint) Subscribe(tag uint32, buf int) (<-chan Tagged, error) {
-	return e.w.subscribe(e.rank, tag, buf)
+	return e.w.subs[e.rank].subscribe(tag, buf)
 }
 
-// Recv returns the next message from the peer carrying tag. Messages with
-// other tags are queued for their own Recv instead of being dropped; an
-// expired RecvTimeout yields a typed *PeerError, matching the TCP
-// transport's semantics.
+// Recv returns the next message from the peer carrying tag (see
+// mailbox.recv); an expired RecvTimeout yields a typed *PeerError, matching
+// the TCP transport's semantics.
 func (e *inprocEndpoint) Recv(from int, tag uint32) ([]byte, error) {
 	if err := e.check(from); err != nil {
 		return nil, err
 	}
-	e.mu.Lock()
-	for i, m := range e.pending[from] {
-		if m.tag == tag {
-			q := e.pending[from]
-			e.pending[from] = append(q[:i:i], q[i+1:]...)
-			e.mu.Unlock()
-			e.observe(from, m)
-			return m.payload, nil
-		}
+	m, err := e.w.boxes[e.rank][from].recv(from, tag, e.w.opts.RecvTimeout)
+	if err != nil {
+		return nil, err
 	}
-	e.mu.Unlock()
-	var timeout <-chan time.Time
-	if d := e.w.opts.RecvTimeout; d > 0 {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		timeout = t.C
-	}
-	for {
-		select {
-		case m, ok := <-e.w.boxes[e.rank][from]:
-			if !ok {
-				return nil, fmt.Errorf("mpi: rank %d mailbox from %d closed", e.rank, from)
-			}
-			if m.tag == tag {
-				e.observe(from, m)
-				return m.payload, nil
-			}
-			e.mu.Lock()
-			e.pending[from] = append(e.pending[from], m)
-			e.mu.Unlock()
-		case <-timeout:
-			return nil, &PeerError{Rank: from, Op: OpRecv, Err: ErrTimeout}
-		}
-	}
+	e.observe(from, m)
+	return m.buf, nil
 }
 
 func (e *inprocEndpoint) check(peer int) error {
-	e.mu.Lock()
-	closed := e.closed
-	e.mu.Unlock()
-	if closed {
+	if e.closed.Load() {
 		return fmt.Errorf("mpi: rank %d endpoint is closed", e.rank)
 	}
 	if peer < 0 || peer >= e.w.n {
@@ -295,11 +158,11 @@ func (e *inprocEndpoint) check(peer int) error {
 }
 
 func (e *inprocEndpoint) Close() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
+	if e.closed.Swap(true) {
 		return fmt.Errorf("mpi: rank %d double close", e.rank)
 	}
-	e.closed = true
 	return nil
 }
+
+// Abort has no abrupt path in-process: mailboxes outlive the endpoint.
+func (e *inprocEndpoint) Abort() { e.closed.Store(true) }

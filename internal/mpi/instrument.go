@@ -31,9 +31,8 @@ type instrumentedEndpoint struct {
 //	mpi.send_errors / mpi.recv_errors
 //	mpi.deadline_hits   (transport deadline expiries, i.e. suspected-dead peers)
 //
-// A nil registry returns ep unchanged. The wrapper forwards Close (and Abort,
-// via the Endpoint embed plus the Comm.Abort type assertion) to the wrapped
-// endpoint.
+// A nil registry returns ep unchanged. The wrapper forwards Close and Abort
+// to the wrapped endpoint (the Endpoint embed).
 func Instrument(ep Endpoint, reg *telemetry.Registry) Endpoint {
 	if reg == nil {
 		return ep
@@ -59,70 +58,11 @@ func Instrument(ep Endpoint, reg *telemetry.Registry) Endpoint {
 	return ie
 }
 
-func (ie *instrumentedEndpoint) Send(to int, tag uint32, payload []byte) error {
-	err := ie.Endpoint.Send(to, tag, payload)
-	if err != nil {
-		ie.sendErrors.Inc()
-		ie.countDeadline(err)
-		return err
-	}
-	if to >= 0 && to < len(ie.framesSent) {
-		ie.framesSent[to].Inc()
-		ie.bytesSent[to].Add(int64(len(payload)))
-	}
-	return nil
-}
-
-// SendOwned forwards the zero-copy send capability, counting the frame
-// before ownership transfers (the frame may be back in a pool — or on
-// another rank — by the time the inner call returns).
-func (ie *instrumentedEndpoint) SendOwned(to int, tag uint32, frame []byte) error {
-	n := int64(len(frame))
-	err := sendOwnedVia(ie.Endpoint, &sharedFramePool, to, tag, frame)
-	if err != nil {
-		ie.sendErrors.Inc()
-		ie.countDeadline(err)
-		return err
-	}
-	if to >= 0 && to < len(ie.framesSent) {
-		ie.framesSent[to].Inc()
-		ie.bytesSent[to].Add(n)
-	}
-	return nil
-}
-
-// SendCtx forwards a context-stamped send, counted exactly like a plain
-// Send. If the wrapped transport lacks the capability the context is
-// dropped, never the frame.
-func (ie *instrumentedEndpoint) SendCtx(to int, tag uint32, payload []byte, ctx TraceCtx) error {
-	cs, ok := ie.Endpoint.(ctxSender)
-	if !ok {
-		return ie.Send(to, tag, payload)
-	}
-	err := cs.SendCtx(to, tag, payload, ctx)
-	if err != nil {
-		ie.sendErrors.Inc()
-		ie.countDeadline(err)
-		return err
-	}
-	if to >= 0 && to < len(ie.framesSent) {
-		ie.framesSent[to].Inc()
-		ie.bytesSent[to].Add(int64(len(payload)))
-	}
-	return nil
-}
-
-// SendOwnedCtx forwards a context-stamped zero-copy send, counting the
-// frame before ownership transfers.
-func (ie *instrumentedEndpoint) SendOwnedCtx(to int, tag uint32, frame []byte, ctx TraceCtx) error {
-	n := int64(len(frame))
-	var err error
-	if cs, ok := ie.Endpoint.(ctxSender); ok {
-		err = cs.SendOwnedCtx(to, tag, frame, ctx)
-	} else {
-		err = sendOwnedVia(ie.Endpoint, &sharedFramePool, to, tag, frame)
-	}
-	if err != nil {
+func (ie *instrumentedEndpoint) Send(to int, tag uint32, m Msg) error {
+	// Measured before the call: an owned frame may be back in the pool — or
+	// on another rank — by the time the inner Send returns.
+	n := int64(len(m.Buf))
+	if err := ie.Endpoint.Send(to, tag, m); err != nil {
 		ie.sendErrors.Inc()
 		ie.countDeadline(err)
 		return err
@@ -159,13 +99,3 @@ func (ie *instrumentedEndpoint) countDeadline(err error) {
 // frames bypass the Recv counters: they are delivered by the transport's
 // read loop, not through this wrapper.
 func (ie *instrumentedEndpoint) Unwrap() Endpoint { return ie.Endpoint }
-
-// Abort forwards to the wrapped endpoint's abrupt-teardown path, keeping
-// MPI_Abort semantics through the instrumentation layer.
-func (ie *instrumentedEndpoint) Abort() {
-	if a, ok := ie.Endpoint.(interface{ Abort() }); ok {
-		a.Abort()
-		return
-	}
-	ie.Endpoint.Close()
-}

@@ -6,7 +6,11 @@
 //
 // Collective algorithms are implemented once against the Endpoint interface
 // so both transports share them, mirroring how MPI layers collectives over
-// point-to-point transport channels.
+// point-to-point transport channels. An Endpoint has one Send and one Recv;
+// what varies per message — whether the buffer's ownership transfers, which
+// trace context rides along — is carried in the Msg, so decorators (fault
+// injection, instrumentation, sub-communicators) compose in any order
+// without knowing what the layers around them support.
 package mpi
 
 import (
@@ -15,21 +19,51 @@ import (
 	"math"
 )
 
+// Msg is one outgoing message: the payload plus how to treat it. Ownership
+// and trace context are data rather than separate send methods, so every
+// transport and decorator has exactly one Send and forwards both untouched.
+type Msg struct {
+	// Buf is the payload.
+	Buf []byte
+	// Owned transfers Buf, which must have come from a FramePool, to the
+	// callee: Send always consumes it — forwarded down the chain, handed to
+	// the receiver, or released to the pool once written, discarded or
+	// failed — and the caller must not touch it afterwards. A borrowed
+	// (non-owned) Buf is the caller's again as soon as Send returns.
+	Owned bool
+	// Ctx is the causal trace context riding with the frame; a zero Span
+	// means unstamped, which is also what a transport that cannot carry
+	// context delivers.
+	Ctx TraceCtx
+}
+
+// release returns an owned buffer to the pool: what an endpoint that
+// consumes m without passing it on must do.
+func (m Msg) release() {
+	if m.Owned {
+		sharedFramePool.Put(m.Buf)
+	}
+}
+
 // Endpoint is one rank's point-to-point transport handle.
 type Endpoint interface {
 	// Rank returns this process's rank in [0, Size).
 	Rank() int
 	// Size returns the number of ranks in the job.
 	Size() int
-	// Send delivers payload to rank `to` with a matching tag. It may block
-	// until the receiver has buffer space but must not require the receiver
-	// to have posted a Recv.
-	Send(to int, tag uint32, payload []byte) error
+	// Send delivers m to rank `to` with a matching tag. It may block until
+	// the receiver has buffer space but must not require the receiver to
+	// have posted a Recv.
+	Send(to int, tag uint32, m Msg) error
 	// Recv returns the next message from rank `from`; the message's tag
 	// must equal tag (our protocols are deterministic per peer pair).
 	Recv(from int, tag uint32) ([]byte, error)
 	// Close releases transport resources. Further calls error.
 	Close() error
+	// Abort tears the transport down abruptly, skipping any goodbye
+	// handshake — the MPI_Abort analogue. Endpoints without a distinct
+	// abrupt path just close.
+	Abort()
 }
 
 // Comm wraps an Endpoint with collective operations.
@@ -38,8 +72,7 @@ type Comm struct {
 	alg  AllreduceAlg   // communicator-wide default (SetAllreduceAlg)
 	tele *commTelemetry // per-algorithm counters (SetTelemetry)
 
-	pool     *FramePool // frame-buffer allocator (SetFramePool)
-	segBytes int        // ring pipelining segment (SetSegmentBytes)
+	segBytes int // ring pipelining segment (SetSegmentBytes)
 
 	// Pipelined-ring scratch, lazily built and reused across calls.
 	// Collectives on one communicator are caller-serialized (MPI
@@ -56,10 +89,10 @@ type Comm struct {
 }
 
 // NewComm wraps ep in a Comm.
-func NewComm(ep Endpoint) *Comm { return &Comm{ep: ep, pool: &sharedFramePool} }
+func NewComm(ep Endpoint) *Comm { return &Comm{ep: ep} }
 
 // derive wraps ep in a sub-communicator that inherits the parent's
-// algorithm selection, frame pool and segment size — pinned behavior: a
+// algorithm selection and segment size — pinned behavior: a
 // communicator derived by Split or Shrink must reproduce the parent's
 // tuning, so AllreduceAlgorithm() and SegmentBytes() are preserved (a
 // regression test asserts this). The one exception is a forced
@@ -72,21 +105,13 @@ func (c *Comm) derive(ep Endpoint) *Comm {
 	if alg == AlgRecursiveDoubling && !isPow2(ep.Size()) {
 		alg = AlgAuto
 	}
-	return &Comm{ep: ep, alg: alg, pool: c.pool, segBytes: c.segBytes}
+	return &Comm{ep: ep, alg: alg, segBytes: c.segBytes}
 }
 
-// SetFramePool gives the communicator a private frame-buffer pool instead
-// of the process-wide shared one. Frames migrate freely between pools (see
-// FramePool), so this is an isolation/accounting knob, not a correctness
-// one.
-func (c *Comm) SetFramePool(p *FramePool) {
-	if p != nil {
-		c.pool = p
-	}
-}
-
-// FramePool returns the communicator's frame-buffer pool.
-func (c *Comm) FramePool() *FramePool { return c.pool }
+// FramePool returns the frame-buffer pool the communicator's collectives
+// and transports draw from — one per process, so its Stats cover every
+// communicator in it.
+func (c *Comm) FramePool() *FramePool { return &sharedFramePool }
 
 // SetSegmentBytes sets the pipelining segment size for the chunked ring
 // allreduce. Values below 256 are clamped; 0 restores DefaultSegmentBytes.
@@ -125,26 +150,29 @@ func (c *Comm) Close() error { return c.ep.Close() }
 // FaultTransport.
 func (c *Comm) Endpoint() Endpoint { return c.ep }
 
-// Abort tears the transport down abruptly, skipping any goodbye handshake —
-// the MPI_Abort analogue, used to model a crashed rank in failure-path
-// tests and demos. Endpoints without a distinct abrupt path just Close.
-func (c *Comm) Abort() {
-	if a, ok := c.ep.(interface{ Abort() }); ok {
-		a.Abort()
-		return
-	}
-	c.ep.Close()
-}
+// Abort tears the transport down abruptly (Endpoint.Abort); used to model a
+// crashed rank in failure-path tests and demos.
+func (c *Comm) Abort() { c.ep.Abort() }
 
 // Send delivers raw bytes to a peer.
-func (c *Comm) Send(to int, tag uint32, payload []byte) error { return c.ep.Send(to, tag, payload) }
+func (c *Comm) Send(to int, tag uint32, payload []byte) error {
+	return c.ep.Send(to, tag, Msg{Buf: payload})
+}
+
+// send is the collective send path: m goes out carrying the open flow's
+// trace context if this is the collective's first frame to that peer (see
+// BeginFlow), unstamped otherwise.
+func (c *Comm) send(to int, tag uint32, m Msg) error {
+	m.Ctx = c.flowCtx(to)
+	return c.ep.Send(to, tag, m)
+}
 
 // Recv receives raw bytes from a peer.
 func (c *Comm) Recv(from int, tag uint32) ([]byte, error) { return c.ep.Recv(from, tag) }
 
 // SendFloats delivers a float32 vector to a peer.
 func (c *Comm) SendFloats(to int, tag uint32, data []float32) error {
-	return c.ep.Send(to, tag, floatsToBytes(data))
+	return c.ep.Send(to, tag, Msg{Buf: floatsToBytes(data)})
 }
 
 // RecvFloats receives a float32 vector from a peer.
@@ -188,11 +216,28 @@ type subscriber interface {
 	Subscribe(tag uint32, buf int) (<-chan Tagged, error)
 }
 
-// unwrapper lets endpoint decorators (fault injection, instrumentation)
-// expose the transport they wrap, so optional capabilities like Subscribe
-// can be found through the decoration chain.
+// unwrapper lets endpoint decorators (fault injection, instrumentation,
+// sub-communicators) expose the transport they wrap, so the terminal
+// transport's optional capabilities can be found through the chain.
 type unwrapper interface {
 	Unwrap() Endpoint
+}
+
+// findCapability walks the decorator chain from ep looking for the asked-for
+// optional interface.
+func findCapability[T any](ep Endpoint) (T, bool) {
+	for e := ep; e != nil; {
+		if cap, ok := e.(T); ok {
+			return cap, true
+		}
+		u, ok := e.(unwrapper)
+		if !ok {
+			break
+		}
+		e = u.Unwrap()
+	}
+	var zero T
+	return zero, false
 }
 
 // Subscribe diverts every future incoming frame carrying tag into the
@@ -208,15 +253,8 @@ func (c *Comm) Subscribe(tag uint32, buf int) (<-chan Tagged, error) {
 	if tag >= TagBase {
 		return nil, fmt.Errorf("mpi: subscribe tag %#x is in the collective tag space", tag)
 	}
-	for ep := c.ep; ep != nil; {
-		if s, ok := ep.(subscriber); ok {
-			return s.Subscribe(tag, buf)
-		}
-		u, ok := ep.(unwrapper)
-		if !ok {
-			break
-		}
-		ep = u.Unwrap()
+	if s, ok := findCapability[subscriber](c.ep); ok {
+		return s.Subscribe(tag, buf)
 	}
 	return nil, fmt.Errorf("mpi: transport %T does not support subscriptions", c.ep)
 }

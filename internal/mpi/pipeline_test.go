@@ -239,7 +239,7 @@ func TestPooledFramesUnderConcurrentCollectivesAndSubscriptions(t *testing.T) {
 					for i := range frame {
 						frame[i] = byte(i)
 					}
-					if err := c.sendPooled(0, tag, frame); err != nil {
+					if err := c.send(0, tag, Msg{Buf: frame, Owned: true}); err != nil {
 						errs[r] = err
 						return
 					}

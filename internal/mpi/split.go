@@ -80,12 +80,16 @@ func (s *subEndpoint) translate(peer int) (int, error) {
 	return s.members[peer], nil
 }
 
-func (s *subEndpoint) Send(to int, tag uint32, payload []byte) error {
+// Send forwards m with the peer and tag translated; ownership and trace
+// context ride along, so pooled frames and causal flow tracing keep working
+// on shrunk and split communicators.
+func (s *subEndpoint) Send(to int, tag uint32, m Msg) error {
 	p, err := s.translate(to)
 	if err != nil {
+		m.release()
 		return err
 	}
-	return s.parent.Send(p, tag^s.tagXor, payload)
+	return s.parent.Send(p, tag^s.tagXor, m)
 }
 
 func (s *subEndpoint) Recv(from int, tag uint32) ([]byte, error) {
@@ -94,50 +98,6 @@ func (s *subEndpoint) Recv(from int, tag uint32) ([]byte, error) {
 		return nil, err
 	}
 	return s.parent.Recv(p, tag^s.tagXor)
-}
-
-// SendCtx forwards a context-stamped send with the peer and tag translated,
-// so causal flow tracing keeps working on shrunk and split communicators
-// (SetFlowTracer requires the endpoint to be a ctxSender). A parent without
-// context frames degrades to a plain send, as SetFlowTracer documents.
-func (s *subEndpoint) SendCtx(to int, tag uint32, payload []byte, ctx TraceCtx) error {
-	p, err := s.translate(to)
-	if err != nil {
-		return err
-	}
-	if cs, ok := s.parent.(ctxSender); ok {
-		return cs.SendCtx(p, tag^s.tagXor, payload, ctx)
-	}
-	return s.parent.Send(p, tag^s.tagXor, payload)
-}
-
-// SendOwnedCtx is SendCtx with frame-ownership transfer.
-func (s *subEndpoint) SendOwnedCtx(to int, tag uint32, frame []byte, ctx TraceCtx) error {
-	p, err := s.translate(to)
-	if err != nil {
-		return err
-	}
-	if cs, ok := s.parent.(ctxSender); ok {
-		return cs.SendOwnedCtx(p, tag^s.tagXor, frame, ctx)
-	}
-	if os, ok := s.parent.(ownedSender); ok {
-		return os.SendOwned(p, tag^s.tagXor, frame)
-	}
-	return s.parent.Send(p, tag^s.tagXor, frame)
-}
-
-// SendOwned forwards zero-copy ownership transfer with translation. Without
-// parent support the frame is sent by copy and left to the GC — pooling is
-// an optimization, never a correctness requirement.
-func (s *subEndpoint) SendOwned(to int, tag uint32, frame []byte) error {
-	p, err := s.translate(to)
-	if err != nil {
-		return err
-	}
-	if os, ok := s.parent.(ownedSender); ok {
-		return os.SendOwned(p, tag^s.tagXor, frame)
-	}
-	return s.parent.Send(p, tag^s.tagXor, frame)
 }
 
 // Close is a no-op: the parent owns the transport.
@@ -150,13 +110,7 @@ func (s *subEndpoint) Unwrap() Endpoint { return s.parent }
 
 // Abort tears the parent transport down abruptly: aborting any derived
 // communicator aborts the job it belongs to, as MPI_Abort does.
-func (s *subEndpoint) Abort() {
-	if a, ok := s.parent.(interface{ Abort() }); ok {
-		a.Abort()
-		return
-	}
-	s.parent.Close()
-}
+func (s *subEndpoint) Abort() { s.parent.Abort() }
 
 // AllreduceHierarchical reduces buf across all ranks using the two-level
 // scheme MVAPICH2 applies on clusters: a shared-memory-style allreduce

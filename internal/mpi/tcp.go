@@ -103,12 +103,10 @@ func (o TCPOptions) withDefaults() TCPOptions {
 	return o
 }
 
-// peerState is the per-peer failure latch plus the queue of frames that
-// arrived with a tag no Recv has asked for yet.
+// peerState is the per-peer failure latch.
 type peerState struct {
-	mu      sync.Mutex
-	err     error       // first failure against this peer, latched forever
-	pending []inprocMsg // out-of-tag frames awaiting a matching Recv
+	mu  sync.Mutex
+	err error // first failure against this peer, latched forever
 }
 
 // latch records the first failure; later failures are ignored so every
@@ -127,25 +125,6 @@ func (ps *peerState) latched() error {
 	return ps.err
 }
 
-// takePending removes and returns the first queued frame with tag, if any.
-func (ps *peerState) takePending(tag uint32) (inprocMsg, bool) {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	for i, m := range ps.pending {
-		if m.tag == tag {
-			ps.pending = append(ps.pending[:i:i], ps.pending[i+1:]...)
-			return m, true
-		}
-	}
-	return inprocMsg{}, false
-}
-
-func (ps *peerState) queue(m inprocMsg) {
-	ps.mu.Lock()
-	ps.pending = append(ps.pending, m)
-	ps.mu.Unlock()
-}
-
 type tcpEndpoint struct {
 	rank, size int
 	opts       TCPOptions
@@ -162,37 +141,34 @@ type tcpEndpoint struct {
 	// hot path cost is an uncontended RLock per Send/Recv.
 	stateMu sync.RWMutex
 	conns   []*tcpConn // indexed by peer rank; nil at self
-	boxes   []chan inprocMsg
+	boxes   []*mailbox
 	peers   []*peerState
 	addrs   []string // rendezvous table, kept current through readmits
 
-	subMu sync.RWMutex
-	subs  map[uint32]chan Tagged // tag -> subscription channel (Subscribe)
-
-	sink atomic.Pointer[TraceSink] // receive-side causal-trace observer
+	subs subTable // tag side channels (Subscribe), fed by readLoop
+	traceHook
 }
 
-// SetTraceSink installs the receive-side causal-trace observer.
-func (ep *tcpEndpoint) SetTraceSink(sink TraceSink) {
-	if sink == nil {
-		ep.sink.Store(nil)
-		return
+// newTCPEndpoint builds an endpoint with an empty mailbox and failure latch
+// per peer slot and no connections yet.
+func newTCPEndpoint(rank, size int, opts TCPOptions) *tcpEndpoint {
+	ep := &tcpEndpoint{
+		rank:  rank,
+		size:  size,
+		opts:  opts,
+		conns: make([]*tcpConn, size),
+		boxes: make([]*mailbox, size),
+		peers: make([]*peerState, size),
 	}
-	ep.sink.Store(&sink)
-}
-
-// observe reports a delivered stamped frame to the trace sink, if any.
-func (ep *tcpEndpoint) observe(from int, m inprocMsg) {
-	if m.ctx.Span == 0 {
-		return
+	for i := range ep.boxes {
+		ep.boxes[i] = newMailbox()
+		ep.peers[i] = &peerState{}
 	}
-	if s := ep.sink.Load(); s != nil {
-		(*s)(from, m.tag, m.ctx)
-	}
+	return ep
 }
 
 // slot snapshots a peer's current connection state under the read lock.
-func (ep *tcpEndpoint) slot(peer int) (*tcpConn, chan inprocMsg, *peerState) {
+func (ep *tcpEndpoint) slot(peer int) (*tcpConn, *mailbox, *peerState) {
 	ep.stateMu.RLock()
 	defer ep.stateMu.RUnlock()
 	return ep.conns[peer], ep.boxes[peer], ep.peers[peer]
@@ -209,80 +185,35 @@ func (ep *tcpEndpoint) peerLive(peer int) bool {
 // Subscribe registers a side channel for tag: readLoop routes matching
 // frames into the returned buffered channel, dropping when it is full.
 func (ep *tcpEndpoint) Subscribe(tag uint32, buf int) (<-chan Tagged, error) {
-	if buf < 1 {
-		buf = 64
-	}
-	ep.subMu.Lock()
-	defer ep.subMu.Unlock()
-	if ep.subs == nil {
-		ep.subs = make(map[uint32]chan Tagged)
-	}
-	if _, dup := ep.subs[tag]; dup {
-		return nil, fmt.Errorf("mpi: tag %#x already subscribed", tag)
-	}
-	ch := make(chan Tagged, buf)
-	ep.subs[tag] = ch
-	return ch, nil
-}
-
-// subDeliver routes a frame to its tag subscription, if one exists.
-// Delivery is non-blocking: a full (or abandoned) subscriber loses frames
-// rather than stalling the read loop that feeds the collectives.
-func (ep *tcpEndpoint) subDeliver(from int, tag uint32, payload []byte) bool {
-	ep.subMu.RLock()
-	ch := ep.subs[tag]
-	ep.subMu.RUnlock()
-	if ch == nil {
-		return false
-	}
-	select {
-	case ch <- Tagged{From: from, Payload: payload}:
-	default: // subscriber is behind; drop (lossy by design)
-	}
-	return true
+	return ep.subs.subscribe(tag, buf)
 }
 
 type tcpConn struct {
-	c            net.Conn
-	mu           sync.Mutex // serializes writes
-	writeTimeout time.Duration
+	c  net.Conn
+	mu sync.Mutex // serializes writes
 }
 
-func (tc *tcpConn) writeFrame(tag uint32, payload []byte) error {
-	return tc.writeFrameDeadline(tag, payload, tc.writeTimeout)
-}
-
-func (tc *tcpConn) writeFrameDeadline(tag uint32, payload []byte, d time.Duration) error {
+// writeFrame is the one frame writer: header, then the encoded trace context
+// if ctx is stamped (the length word then carries tcpCtxFlag; a zero Span
+// writes a legacy frame), then the payload, all under write deadline d
+// (d <= 0: none).
+func (tc *tcpConn) writeFrame(tag uint32, payload []byte, ctx TraceCtx, d time.Duration) error {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
 	if d > 0 {
 		tc.c.SetWriteDeadline(time.Now().Add(d))
 		defer tc.c.SetWriteDeadline(time.Time{})
 	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], tag)
-	if _, err := tc.c.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := tc.c.Write(payload)
-	return err
-}
-
-// writeFrameCtx writes a stamped frame: the length word carries tcpCtxFlag
-// and the encoded context rides between the header and the payload.
-func (tc *tcpConn) writeFrameCtx(tag uint32, payload []byte, ctx TraceCtx) error {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	if d := tc.writeTimeout; d > 0 {
-		tc.c.SetWriteDeadline(time.Now().Add(d))
-		defer tc.c.SetWriteDeadline(time.Time{})
-	}
 	var hdr [8 + traceCtxBytes]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload))|tcpCtxFlag)
+	n, word := 8, uint32(len(payload))
+	if ctx.Span != 0 {
+		word |= tcpCtxFlag
+		ctx.encode(hdr[8:])
+		n += traceCtxBytes
+	}
+	binary.LittleEndian.PutUint32(hdr[0:], word)
 	binary.LittleEndian.PutUint32(hdr[4:], tag)
-	ctx.encode(hdr[8:])
-	if _, err := tc.c.Write(hdr[:]); err != nil {
+	if _, err := tc.c.Write(hdr[:n]); err != nil {
 		return err
 	}
 	_, err := tc.c.Write(payload)
@@ -354,18 +285,7 @@ func DialTCPOpts(rank, size int, rootAddr, bindAddr string, opts TCPOptions) (*C
 		return nil, fmt.Errorf("mpi: invalid rank %d of %d", rank, size)
 	}
 	opts = opts.withDefaults()
-	ep := &tcpEndpoint{
-		rank:  rank,
-		size:  size,
-		opts:  opts,
-		conns: make([]*tcpConn, size),
-		boxes: make([]chan inprocMsg, size),
-		peers: make([]*peerState, size),
-	}
-	for i := range ep.boxes {
-		ep.boxes[i] = make(chan inprocMsg, 1024)
-		ep.peers[i] = &peerState{}
-	}
+	ep := newTCPEndpoint(rank, size, opts)
 	if size == 1 {
 		if opts.Listener != nil {
 			opts.Listener.Close()
@@ -484,8 +404,8 @@ func rendezvous(rank, size int, rootAddr string, ln net.Listener, opts TCPOption
 		}
 		packed := packParts(stringsToBytes(table))
 		for _, c := range regs {
-			tc := &tcpConn{c: c, writeTimeout: opts.WriteTimeout}
-			if err := tc.writeFrame(tcpHelloTag, packed); err != nil {
+			tc := &tcpConn{c: c}
+			if err := tc.writeFrame(tcpHelloTag, packed, TraceCtx{}, opts.WriteTimeout); err != nil {
 				return nil, fmt.Errorf("mpi: rendezvous reply: %w", err)
 			}
 		}
@@ -510,8 +430,8 @@ func rendezvous(rank, size int, rootAddr string, ln net.Listener, opts TCPOption
 	payload := make([]byte, 4+len(ln.Addr().String()))
 	binary.LittleEndian.PutUint32(payload, uint32(rank))
 	copy(payload[4:], ln.Addr().String())
-	tc := &tcpConn{c: conn, writeTimeout: opts.WriteTimeout}
-	if err := tc.writeFrame(tcpHelloTag, payload); err != nil {
+	tc := &tcpConn{c: conn}
+	if err := tc.writeFrame(tcpHelloTag, payload, TraceCtx{}, opts.WriteTimeout); err != nil {
 		return nil, fmt.Errorf("mpi: register: %w", err)
 	}
 	conn.SetReadDeadline(deadline)
@@ -618,7 +538,7 @@ func (ep *tcpEndpoint) mesh(table []string) error {
 				record(fmt.Errorf("mpi: duplicate mesh hello from rank %d", peer))
 				return
 			}
-			ep.conns[peer] = &tcpConn{c: c, writeTimeout: ep.opts.WriteTimeout}
+			ep.conns[peer] = &tcpConn{c: c}
 			mu.Unlock()
 		}
 	}()
@@ -640,10 +560,10 @@ func (ep *tcpEndpoint) mesh(table []string) error {
 				ep.opts.countDialRetry()
 				time.Sleep(ep.opts.DialBackoff)
 			}
-			tc := &tcpConn{c: c, writeTimeout: ep.opts.WriteTimeout}
+			tc := &tcpConn{c: c}
 			var hello [4]byte
 			binary.LittleEndian.PutUint32(hello[:], uint32(ep.rank))
-			if err := tc.writeFrame(tcpHelloTag, hello[:]); err != nil {
+			if err := tc.writeFrame(tcpHelloTag, hello[:], TraceCtx{}, ep.opts.WriteTimeout); err != nil {
 				record(&PeerError{Rank: peer, Op: OpDial, Err: err})
 				return
 			}
@@ -662,7 +582,7 @@ func (ep *tcpEndpoint) mesh(table []string) error {
 // is pinned to its own connection generation's box and latch (passed in, not
 // looked up), so a loop left over from a readmitted peer's previous
 // connection can never poison the fresh slot.
-func (ep *tcpEndpoint) readLoop(peer int, tc *tcpConn, ps *peerState, box chan inprocMsg) {
+func (ep *tcpEndpoint) readLoop(peer int, tc *tcpConn, ps *peerState, box *mailbox) {
 	defer ep.readWG.Done()
 	for {
 		tag, payload, ctx, err := readFrame(tc.c)
@@ -672,31 +592,31 @@ func (ep *tcpEndpoint) readLoop(peer int, tc *tcpConn, ps *peerState, box chan i
 				cause = ErrClosed
 			}
 			ps.latch(&PeerError{Rank: peer, Op: OpRecv, Err: cause})
-			close(box)
+			close(box.ch)
 			return
 		}
 		if tag == tcpGoodbyeTag {
 			ps.latch(&PeerError{Rank: peer, Op: OpRecv, Err: ErrPeerClosed})
-			close(box)
+			close(box.ch)
 			return
 		}
-		if ep.subDeliver(peer, tag, payload) {
+		if ep.subs.deliver(peer, tag, payload) {
 			continue
 		}
-		box <- inprocMsg{tag: tag, payload: payload, ctx: ctx}
+		box.ch <- frame{tag: tag, buf: payload, ctx: ctx}
 	}
 }
 
 func (ep *tcpEndpoint) Rank() int { return ep.rank }
 func (ep *tcpEndpoint) Size() int { return ep.size }
 
-func (ep *tcpEndpoint) Send(to int, tag uint32, payload []byte) error {
-	return ep.SendCtx(to, tag, payload, TraceCtx{})
-}
-
-// SendCtx is Send with a causal trace context attached; a zero context
-// writes a legacy frame, so the hot path is a single comparison wider.
-func (ep *tcpEndpoint) SendCtx(to int, tag uint32, payload []byte, ctx TraceCtx) error {
+// Send writes m as one frame; an unstamped m writes a legacy frame, so the
+// tracing-off hot path is a single comparison wider. The kernel copies at
+// write(2), so an owned frame goes back to the pool as soon as the write
+// returns or fails: "zero-copy" on TCP means zero extra user-space
+// allocation and copy per frame.
+func (ep *tcpEndpoint) Send(to int, tag uint32, m Msg) error {
+	defer m.release()
 	if to < 0 || to >= ep.size || to == ep.rank {
 		return fmt.Errorf("mpi: invalid send target %d", to)
 	}
@@ -707,13 +627,7 @@ func (ep *tcpEndpoint) SendCtx(to int, tag uint32, payload []byte, ctx TraceCtx)
 	if tc == nil {
 		return fmt.Errorf("mpi: no connection to rank %d", to)
 	}
-	var err error
-	if ctx.Span != 0 {
-		err = tc.writeFrameCtx(tag, payload, ctx)
-	} else {
-		err = tc.writeFrame(tag, payload)
-	}
-	if err != nil {
+	if err := tc.writeFrame(tag, m.Buf, m.Ctx, ep.opts.WriteTimeout); err != nil {
 		cause := err
 		if isTimeout(err) {
 			cause = fmt.Errorf("%w: %v", ErrTimeout, err)
@@ -726,57 +640,22 @@ func (ep *tcpEndpoint) SendCtx(to int, tag uint32, payload []byte, ctx TraceCtx)
 	return nil
 }
 
-// SendOwned delivers a pooled frame with ownership transfer: once the bytes
-// are written to the socket (or the write fails) the frame goes back to the
-// pool. On TCP the kernel copies at write(2) anyway, so "zero-copy" here
-// means zero extra user-space allocation and copy per frame.
-func (ep *tcpEndpoint) SendOwned(to int, tag uint32, frame []byte) error {
-	err := ep.Send(to, tag, frame)
-	sharedFramePool.Put(frame)
-	return err
-}
-
-// SendOwnedCtx is SendOwned with a causal trace context attached.
-func (ep *tcpEndpoint) SendOwnedCtx(to int, tag uint32, frame []byte, ctx TraceCtx) error {
-	err := ep.SendCtx(to, tag, frame, ctx)
-	sharedFramePool.Put(frame)
-	return err
-}
-
-// Recv returns the next frame from the peer carrying tag. Frames with other
-// tags are queued for their own Recv instead of being dropped; a dead peer
-// or an expired deadline yields a typed *PeerError. Concurrent Recvs from
-// the same peer are not supported (protocols are sequential per peer pair).
+// Recv returns the next frame from the peer carrying tag (see mailbox.recv);
+// a dead peer or an expired deadline yields a typed *PeerError.
 func (ep *tcpEndpoint) Recv(from int, tag uint32) ([]byte, error) {
 	if from < 0 || from >= ep.size || from == ep.rank {
 		return nil, fmt.Errorf("mpi: invalid recv source %d", from)
 	}
 	_, box, ps := ep.slot(from)
-	if m, ok := ps.takePending(tag); ok {
-		ep.observe(from, m)
-		return m.payload, nil
+	m, err := box.recv(from, tag, ep.opts.RecvTimeout)
+	if err == errMailboxClosed {
+		return nil, ps.latched()
 	}
-	var timeout <-chan time.Time
-	if d := ep.opts.RecvTimeout; d > 0 {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		timeout = t.C
+	if err != nil {
+		return nil, err
 	}
-	for {
-		select {
-		case m, ok := <-box:
-			if !ok {
-				return nil, ps.latched()
-			}
-			if m.tag == tag {
-				ep.observe(from, m)
-				return m.payload, nil
-			}
-			ps.queue(m)
-		case <-timeout:
-			return nil, &PeerError{Rank: from, Op: OpRecv, Err: ErrTimeout}
-		}
-	}
+	ep.observe(from, m)
+	return m.buf, nil
 }
 
 // Close tears the endpoint down gracefully: a goodbye frame to every live
@@ -808,7 +687,7 @@ func (ep *tcpEndpoint) shutdown(graceful bool) error {
 			}
 			for peer, tc := range conns {
 				if tc != nil && peers[peer].latched() == nil {
-					tc.writeFrameDeadline(tcpGoodbyeTag, nil, d)
+					tc.writeFrame(tcpGoodbyeTag, nil, TraceCtx{}, d)
 				}
 			}
 			if ep.opts.DrainTimeout > 0 {
@@ -883,12 +762,12 @@ func (ep *tcpEndpoint) handleRejoin(c net.Conn) {
 		c.Close()
 		return
 	}
-	tc := &tcpConn{c: c, writeTimeout: ep.opts.WriteTimeout}
+	tc := &tcpConn{c: c}
 	if !ep.installPeer(peer, addr, tc) {
 		c.Close()
 		return
 	}
-	tc.writeFrame(tcpRejoinTag, nil) // ack: the slot is live
+	tc.writeFrame(tcpRejoinTag, nil, TraceCtx{}, ep.opts.WriteTimeout) // ack: the slot is live
 }
 
 // installPeer replaces a dead (or never-connected) peer slot with a fresh
@@ -904,7 +783,7 @@ func (ep *tcpEndpoint) installPeer(peer int, addr string, tc *tcpConn) bool {
 		return false
 	}
 	ep.conns[peer] = tc
-	ep.boxes[peer] = make(chan inprocMsg, 1024)
+	ep.boxes[peer] = newMailbox()
 	ep.peers[peer] = &peerState{}
 	if addr != "" && ep.addrs != nil {
 		ep.addrs[peer] = addr
@@ -969,8 +848,8 @@ func (ep *tcpEndpoint) redialOnce(peer int, addr string, hello []byte, deadline 
 	if err != nil {
 		return err
 	}
-	tc := &tcpConn{c: c, writeTimeout: ep.opts.WriteTimeout}
-	if err := tc.writeFrame(tcpRejoinTag, hello); err != nil {
+	tc := &tcpConn{c: c}
+	if err := tc.writeFrame(tcpRejoinTag, hello, TraceCtx{}, ep.opts.WriteTimeout); err != nil {
 		c.Close()
 		return err
 	}
@@ -1037,19 +916,8 @@ func RejoinTCP(rank, size int, rootAddr, bindAddr string, opts TCPOptions) (*Com
 		return nil, fmt.Errorf("mpi: invalid rejoin rank %d of %d", rank, size)
 	}
 	opts = opts.withDefaults()
-	ep := &tcpEndpoint{
-		rank:  rank,
-		size:  size,
-		opts:  opts,
-		conns: make([]*tcpConn, size),
-		boxes: make([]chan inprocMsg, size),
-		peers: make([]*peerState, size),
-		addrs: make([]string, size),
-	}
-	for i := range ep.boxes {
-		ep.boxes[i] = make(chan inprocMsg, 1024)
-		ep.peers[i] = &peerState{}
-	}
+	ep := newTCPEndpoint(rank, size, opts)
+	ep.addrs = make([]string, size)
 	ln, err := net.Listen("tcp", bindAddr)
 	if err != nil {
 		return nil, fmt.Errorf("mpi: rejoin listen: %w", err)

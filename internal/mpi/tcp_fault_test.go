@@ -238,7 +238,7 @@ func TestMeshRejectsDuplicateHello(t *testing.T) {
 		payload := make([]byte, 4+len(addr))
 		binary.LittleEndian.PutUint32(payload, uint32(rank))
 		copy(payload[4:], addr)
-		if err := (&tcpConn{c: c}).writeFrame(tcpHelloTag, payload); err != nil {
+		if err := (&tcpConn{c: c}).writeFrame(tcpHelloTag, payload, TraceCtx{}, 0); err != nil {
 			t.Fatal(err)
 		}
 		return c
@@ -262,7 +262,7 @@ func TestMeshRejectsDuplicateHello(t *testing.T) {
 		}
 		var p [4]byte
 		binary.LittleEndian.PutUint32(p[:], uint32(rank))
-		if err := (&tcpConn{c: c}).writeFrame(tcpHelloTag, p[:]); err != nil {
+		if err := (&tcpConn{c: c}).writeFrame(tcpHelloTag, p[:], TraceCtx{}, 0); err != nil {
 			t.Fatal(err)
 		}
 		return c

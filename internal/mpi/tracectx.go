@@ -2,16 +2,17 @@ package mpi
 
 import (
 	"encoding/binary"
+	"sync/atomic"
 
 	"dnnperf/internal/telemetry"
 )
 
 // TraceCtx is the compact causal context a collective stamps on its frames:
 // enough to link the sending rank's span to the receiving rank's span in a
-// merged trace without any out-of-band correlation. It rides inside the
-// transport frame (a flag bit plus traceCtxBytes on TCP, a struct field
-// in-process), so propagation costs nothing when tracing is off and one
-// small header when on.
+// merged trace without any out-of-band correlation. It travels as Msg.Ctx
+// through every endpoint and inside the transport frame (a flag bit plus
+// traceCtxBytes on TCP, a struct field in-process), so propagation costs
+// nothing when tracing is off and one small header when on.
 type TraceCtx struct {
 	// Step is the training step the collective belongs to (0 = unknown;
 	// engine-level collectives outside a step keep it 0).
@@ -46,15 +47,6 @@ func decodeTraceCtx(src []byte) TraceCtx {
 	}
 }
 
-// ctxSender is the optional endpoint capability for context-stamped sends.
-// Terminal transports implement it natively; decorators (fault injection,
-// instrumentation) forward it so faults and counters apply identically to
-// stamped and plain frames.
-type ctxSender interface {
-	SendCtx(to int, tag uint32, payload []byte, ctx TraceCtx) error
-	SendOwnedCtx(to int, tag uint32, frame []byte, ctx TraceCtx) error
-}
-
 // TraceSink receives the context of every stamped frame a transport
 // delivers through its Recv path (subscription side channels excluded).
 type TraceSink func(from int, tag uint32, ctx TraceCtx)
@@ -65,12 +57,35 @@ type traceSinkSetter interface {
 	SetTraceSink(TraceSink)
 }
 
+// traceHook is the receive-side causal-trace observer both transports embed.
+type traceHook struct {
+	sink atomic.Pointer[TraceSink]
+}
+
+// SetTraceSink installs (nil clears) the observer.
+func (h *traceHook) SetTraceSink(sink TraceSink) {
+	if sink == nil {
+		h.sink.Store(nil)
+		return
+	}
+	h.sink.Store(&sink)
+}
+
+// observe reports a delivered stamped frame to the trace sink, if any.
+func (h *traceHook) observe(from int, m frame) {
+	if m.ctx.Span == 0 {
+		return
+	}
+	if s := h.sink.Load(); s != nil {
+		(*s)(from, m.tag, m.ctx)
+	}
+}
+
 // flowState is the communicator's causal-tracing state. It is touched only
 // on the collective caller's goroutine (collectives on one communicator are
 // caller-serialized), so it needs no lock.
 type flowState struct {
 	tr  *telemetry.Tracer
-	cs  ctxSender
 	seq uint32
 	cur TraceCtx
 	// sent marks peers already stamped during the current collective: one
@@ -82,38 +97,25 @@ type flowState struct {
 // collective sends stamp a TraceCtx into their frames and record flow-start
 // events, and stamped frames received from peers record flow-finish events
 // bound to whatever span is open when they arrive. Pass nil to disable.
-// The transport chain must reach a terminal endpoint that supports context
-// frames (both built-in transports do); otherwise sends stay unstamped and
-// only the tracer side is armed.
+// Every endpoint forwards Msg.Ctx, so this works unchanged through fault
+// injection, instrumentation and split or shrunk communicators.
 func (c *Comm) SetFlowTracer(tr *telemetry.Tracer) {
 	if tr == nil {
 		c.flow = nil
 		c.setTraceSink(nil)
 		return
 	}
-	f := &flowState{tr: tr, sent: make([]bool, c.ep.Size())}
-	if cs, ok := c.ep.(ctxSender); ok {
-		f.cs = cs
-	}
-	c.flow = f
+	c.flow = &flowState{tr: tr, sent: make([]bool, c.ep.Size())}
 	c.setTraceSink(func(from int, tag uint32, ctx TraceCtx) {
 		tr.FlowFinish("mpi.flow", "flow", telemetry.CommLane, ctx.Span)
 	})
 }
 
 // setTraceSink installs (or clears) the receive-side sink on the terminal
-// transport, walking the decorator chain like Subscribe does.
+// transport, found through the decorator chain like Subscribe.
 func (c *Comm) setTraceSink(sink TraceSink) {
-	for ep := c.ep; ep != nil; {
-		if s, ok := ep.(traceSinkSetter); ok {
-			s.SetTraceSink(sink)
-			return
-		}
-		u, ok := ep.(unwrapper)
-		if !ok {
-			return
-		}
-		ep = u.Unwrap()
+	if s, ok := findCapability[traceSinkSetter](c.ep); ok {
+		s.SetTraceSink(sink)
 	}
 }
 
@@ -123,7 +125,7 @@ func (c *Comm) setTraceSink(sink TraceSink) {
 // unless SetFlowTracer armed the communicator.
 func (c *Comm) BeginFlow(step int64) {
 	f := c.flow
-	if f == nil || f.cs == nil {
+	if f == nil {
 		return
 	}
 	f.seq++
@@ -151,23 +153,14 @@ func (c *Comm) EndFlow() {
 }
 
 // flowCtx returns the context to stamp on a frame to peer `to`, marking the
-// peer stamped and recording the flow-start. The second return is false
-// when no flow is open or the peer already got its arrow.
-func (c *Comm) flowCtx(to int) (TraceCtx, bool) {
+// peer stamped and recording the flow-start. It is the zero context when no
+// flow is open or the peer already got its arrow.
+func (c *Comm) flowCtx(to int) TraceCtx {
 	f := c.flow
 	if f == nil || f.cur.Span == 0 || to < 0 || to >= len(f.sent) || f.sent[to] {
-		return TraceCtx{}, false
+		return TraceCtx{}
 	}
 	f.sent[to] = true
 	f.tr.FlowStart("mpi.flow", "flow", telemetry.CommLane, f.cur.Span)
-	return f.cur, true
-}
-
-// csend is the collective send path: Send, plus context stamping when a
-// flow is open and this is the first frame of the collective to that peer.
-func (c *Comm) csend(to int, tag uint32, payload []byte) error {
-	if ctx, ok := c.flowCtx(to); ok {
-		return c.flow.cs.SendCtx(to, tag, payload, ctx)
-	}
-	return c.ep.Send(to, tag, payload)
+	return f.cur
 }

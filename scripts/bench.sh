@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# bench.sh — run the tier-1 benchmarks with -benchmem and write the raw
-# results as JSON artifacts, so allocation and throughput regressions are
-# pinned by checked-in numbers:
+# bench.sh — run the tier-1 micro-benchmarks with -benchmem and write the
+# raw results as JSON artifacts. The BENCH_*.json files are git-ignored
+# (CI uploads them as artifacts); the committed baseline that regressions
+# are checked against is bench/baseline.json, through `go run ./bench
+# compare` (see bench/README.md). This script writes:
 #   BENCH_tensor.json    — kernel and training-step benchmarks, each kernel
 #                          swept over a fixed 1/2/4/8 thread ladder
 #   BENCH_comm.json      — mpi collective and Horovod engine benchmarks:
