@@ -1,10 +1,11 @@
 # Tier-1 verification and benchmark targets. `make ci` is what the CI
 # workflow runs: build, vet, unit tests, and the race suite over the
 # packages with concurrent hot paths (arena, executor, worker pool, mpi
-# transports, Horovod engine).
+# transports, Horovod engine, and the job fleet's rank fan-out that the
+# scenario harness drives).
 
 GO ?= go
-RACE_PKGS = ./internal/tensor/... ./internal/graph/... ./internal/mpi/... ./internal/horovod/... ./internal/train/...
+RACE_PKGS = ./internal/tensor/... ./internal/graph/... ./internal/mpi/... ./internal/horovod/... ./internal/train/... ./internal/job/... ./internal/scenario/...
 
 FUZZ_PKGS = ./internal/mpi/ ./internal/horovod/ ./internal/train/
 FUZZTIME ?= 10s
@@ -46,16 +47,16 @@ fuzz:
 scenarios: build
 	$(GO) run ./cmd/dnnperf scenario run -q scenarios/*.yaml
 
-# regrow-demo runs the whole elastic lifecycle across real OS processes:
-# a 4-rank TCP job loses rank 2 after step 3, the surviving majority
-# shrinks and keeps training, the launcher relaunches the dead rank, and
-# the leader readmits it at a step boundary — the job ends back at 4
-# ranks with bit-identical weights (exit code 3 = recovered). Built to a
-# real binary first: `go run` collapses the worker exit codes to 1.
+# regrow-demo runs the whole elastic lifecycle across real OS processes
+# (examples/jobs/regrow.yaml): a 4-rank TCP job loses rank 2 after step 3,
+# the surviving majority shrinks and keeps training, the launcher
+# relaunches the dead rank, and the leader readmits it at a step boundary
+# — the job ends back at 4 ranks with bit-identical weights (exit code 3 =
+# recovered). Built to a real binary first: `go run` collapses the worker
+# exit codes to 1.
 regrow-demo: build
 	$(GO) build -o bin/mpirun ./cmd/mpirun
-	bin/mpirun -np 4 -steps 10 -recv_timeout 2s \
-		-elastic -die_rank 2 -die_step 3 -regrow; test $$? -eq 3
+	bin/mpirun -job examples/jobs/regrow.yaml; test $$? -eq 3
 
 # dnnsched-smoke drives the multi-tenant control plane end to end: a
 # 200-job / 3-tenant synthetic stream gang-scheduled on the discrete-event
@@ -83,11 +84,11 @@ analyze-smoke: build
 	$(GO) build -o bin/mpirun ./cmd/mpirun
 	$(GO) build -o bin/dnnperf ./cmd/dnnperf
 	mkdir -p analyze-out
-	bin/mpirun -np 4 -steps 6 -batch_size 4 \
+	bin/mpirun -job examples/jobs/dp4.yaml \
 		-trace analyze-out/trace.json -metrics analyze-out/metrics.json
 	bin/dnnperf analyze -trace analyze-out/trace.json \
 		-metrics analyze-out/metrics.json -json analyze-out/report.json
-	bin/mpirun -np 4 -steps 8 -recv_timeout 2s -elastic -die_rank 2 -die_step 3 \
+	bin/mpirun -job examples/jobs/elastic_crash.yaml \
 		-trace analyze-out/chaos-trace.json -metrics analyze-out/chaos-metrics.json; \
 		test $$? -eq 3
 	bin/dnnperf analyze -trace analyze-out/chaos-trace.json \

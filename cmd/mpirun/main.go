@@ -1,48 +1,48 @@
-// Command mpirun launches an n-rank distributed training job over the TCP
-// transport, in the style of `mpirun -np N`: it re-executes itself N times
-// as worker processes, each of which joins the job, trains the demo model
-// data-parallel through the Horovod engine, and reports aggregate
-// throughput and the engine's profiling counters.
+// Command mpirun launches one job spec as an n-rank distributed training job
+// over the TCP transport, in the style of `mpirun -np N`: it re-executes
+// itself once per rank as worker processes, each of which joins the job,
+// trains the demo model data-parallel through the Horovod engine, and
+// reports aggregate throughput and the engine's profiling counters.
 //
-// The job itself — gang shape, step budget, elastic/checkpoint settings,
-// fault injection, the crash demo — is an internal/job Spec: pass one with
-// -job spec.yaml and it is the exact schema cmd/dnnsched schedules, so a job
-// debugged standalone under mpirun submits to the control plane unchanged.
-// The individual flags below (-steps, -elastic, -die_rank, -drop_prob, ...)
-// remain as deprecated aliases; explicitly set flags override the spec file.
+// The job — gang shape (nodes x ppn), step budget, batch, cycle time, recv
+// deadline, elastic/checkpoint settings, fault injection, the crash demo —
+// comes from -job spec.yaml and nowhere else: an internal/job Spec, the
+// exact schema cmd/dnnsched schedules, so a spec debugged standalone under
+// mpirun means the same job when submitted to the control plane.
+// examples/jobs/ holds ready-made specs. The remaining flags configure only
+// the launcher's observability: telemetry export, the live endpoint,
+// profiles and flight-recorder dumps.
 //
-// Transport faults can be injected per rank to demonstrate the runtime's
-// failure behavior: seeded drop/delay/duplicate probabilities wrap each
-// worker's endpoint in an mpi.FaultTransport, and -die_rank/-die_step make
-// one rank abort its transport mid-run — surviving ranks resolve to typed
-// mpi.PeerError values within the Recv deadline instead of hanging.
+// A spec's faults block wraps each worker's endpoint in a seeded
+// mpi.FaultTransport (drop/delay/duplicate), and die_rank/die_step make one
+// rank abort its transport mid-run — surviving ranks resolve to typed
+// mpi.PeerError values within the recv deadline instead of hanging.
 //
-// With -elastic the workers run under the train.Supervisor: the leader
-// checkpoints every -ckpt_every steps into -ckpt_dir, and when -die_rank
-// kills a rank the survivors agree on the shrunk world, roll back to the
-// last checkpoint, and finish the full step budget without it.
+// With elastic: true the workers run under the train.Supervisor: the leader
+// checkpoints every ckpt_every steps into ckpt_dir (default: a temp dir the
+// launcher creates), and when die_rank kills a rank the survivors agree on
+// the shrunk world, roll back to the last checkpoint, and finish the full
+// step budget without it.
 //
-// With -regrow (requires -elastic) the launcher relaunches the killed
+// With regrow: true (requires elastic) the launcher relaunches the killed
 // rank's process once it exits: the fresh process rejoins through rank 0's
 // retained listener, the leader admits it at a step boundary, and the
-// world grows back to full size — survivors linger up to -regrow_wait
-// after their last step so a slow joiner still lands.
+// world grows back to full size — survivors linger up to regrow_wait after
+// their last step so a slow joiner still lands.
 //
 // Worker exit codes distinguish the outcomes:
 //
 //	0 — clean run (full world, no recoveries)
 //	1 — unrecoverable failure
-//	2 — this rank was killed by -die_rank (the injected death, expected)
+//	2 — this rank was killed by die_rank (the injected death, expected)
 //	3 — run completed after recovering from rank failure
 //
 // Usage:
 //
-//	mpirun -job spec.yaml
-//	mpirun -np 4 [-steps 10] [-batch_size 8] [-cycle_time_ms 3.5]
-//	       [-recv_timeout 30s] [-fault_seed 1] [-drop_prob 0] [-dup_prob 0]
-//	       [-delay_prob 0] [-delay 1ms] [-die_rank -1] [-die_step 2]
-//	       [-elastic] [-ckpt_every 2] [-ckpt_dir DIR]
-//	       [-regrow] [-regrow_wait 30s]
+//	mpirun -job examples/jobs/dp4.yaml
+//	       [-metrics m.json] [-trace t.json] [-timeline]
+//	       [-listen 127.0.0.1:9090] [-publish_every 250ms] [-serve_linger 10s]
+//	       [-profile cpu|heap] [-profile_dir DIR] [-flight_dir DIR]
 package main
 
 import (
@@ -77,30 +77,10 @@ const (
 
 func main() {
 	var (
-		jobFile = flag.String("job", "", "job spec YAML/JSON (internal/job schema, same as dnnsched workload entries); explicit flags below override its fields")
-		np      = flag.Int("np", 2, "number of ranks (worker processes); with -job, defaults to the spec's gang size")
-		steps   = flag.Int("steps", 8, "training steps")
-		batch   = flag.Int("batch_size", 8, "per-rank batch size")
-		cycle   = flag.Float64("cycle_time_ms", 3.5, "HOROVOD_CYCLE_TIME in ms")
-
-		recvTimeout = flag.Duration("recv_timeout", mpi.DefaultRecvTimeout, "per-Recv deadline; a dead peer yields a typed error after this long")
-		faultSeed   = flag.Int64("fault_seed", 1, "seed for the per-rank fault RNG (deterministic per seed+rank)")
-		dropProb    = flag.Float64("drop_prob", 0, "probability a sent frame is silently dropped")
-		dupProb     = flag.Float64("dup_prob", 0, "probability a sent frame is delivered twice")
-		delayProb   = flag.Float64("delay_prob", 0, "probability a sent frame is delayed by -delay")
-		delay       = flag.Duration("delay", time.Millisecond, "latency added to delayed frames")
-		dieRank     = flag.Int("die_rank", -1, "rank that aborts its transport mid-run (-1: none)")
-		dieStep     = flag.Int("die_step", 2, "training step after which -die_rank aborts")
-
-		elastic    = flag.Bool("elastic", false, "supervise training: checkpoint periodically and survive rank failure by shrinking")
-		ckptEvery  = flag.Int("ckpt_every", 2, "elastic checkpoint period in steps")
-		ckptDir    = flag.String("ckpt_dir", "", "elastic checkpoint directory (default: a temp dir the launcher creates)")
-		regrow     = flag.Bool("regrow", false, "relaunch the -die_rank process after it dies so it rejoins and the world grows back (requires -elastic)")
-		regrowWait = flag.Duration("regrow_wait", 30*time.Second, "how long survivors linger for a joiner after their last step, and how long a joiner keeps asking (with -regrow)")
+		jobFile = flag.String("job", "", "job spec YAML/JSON (internal/job schema, same as dnnsched workload entries); required")
 
 		metricsPath = flag.String("metrics", "", "write merged per-rank metrics JSON here (gathered to rank 0; elastic: the final leader's local metrics)")
 		tracePath   = flag.String("trace", "", "write a Chrome trace-event JSON timeline here (all ranks merged, pid = rank)")
-		algFlag     = flag.String("allreduce_alg", "auto", "allreduce algorithm: auto, ring or recursive_doubling (rd)")
 
 		profileMode = flag.String("profile", "", "capture a per-rank Go profile (cpu or heap); gathered to rank 0 under -profile_dir")
 		profileDir  = flag.String("profile_dir", "profiles", "directory for -profile output files")
@@ -113,118 +93,30 @@ func main() {
 	)
 	flag.Parse()
 
-	// One spec rules launcher and workers alike: both run this same code on
-	// the same argv, so the file + explicit-flag overlay resolves identically
-	// in every process.
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	legacy := *jobFile == ""
-	use := func(name string) bool { return legacy || set[name] }
-
-	spec := &job.Spec{}
-	if !legacy {
-		loaded, err := job.LoadSpec(*jobFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mpirun:", err)
-			os.Exit(exitFailure)
-		}
-		spec = loaded
+	// Launcher and workers run this same code on the same argv, so the spec
+	// resolves identically in every process — and everything below is
+	// checked by the launcher first, before any worker exists to repeat the
+	// complaint.
+	if *jobFile == "" {
+		fmt.Fprintln(os.Stderr, "mpirun: -job spec.yaml is required (see examples/jobs/)")
+		os.Exit(exitFailure)
 	}
-	if use("np") {
-		spec.Nodes, spec.PPN = 1, *np
-	}
-	if use("steps") {
-		spec.Steps = *steps
-	}
-	if use("batch_size") {
-		spec.Batch = *batch
-	}
-	if use("cycle_time_ms") {
-		spec.CycleTime = job.Duration(*cycle * float64(time.Millisecond))
-	}
-	if use("recv_timeout") {
-		spec.RecvTimeout = job.Duration(*recvTimeout)
-	}
-	if use("allreduce_alg") {
-		spec.AllreduceAlg = *algFlag
-	}
-	if use("elastic") {
-		spec.Elastic = *elastic
-	}
-	if use("ckpt_every") && (set["ckpt_every"] || *elastic) {
-		spec.CkptEvery = *ckptEvery
-	}
-	if use("ckpt_dir") {
-		spec.CkptDir = *ckptDir
-	}
-	if use("regrow") {
-		spec.Regrow = *regrow
-	}
-	if use("regrow_wait") {
-		spec.RegrowWait = job.Duration(*regrowWait)
-	}
-	if use("die_rank") && *dieRank >= 0 {
-		r := *dieRank
-		spec.DieRank = &r
-		spec.DieStep = int64(*dieStep)
-	}
-	if legacy || set["drop_prob"] || set["dup_prob"] || set["delay_prob"] || set["delay"] {
-		if spec.Faults == nil {
-			spec.Faults = &job.Faults{}
-		}
-		if use("drop_prob") {
-			spec.Faults.DropProb = *dropProb
-		}
-		if use("dup_prob") {
-			spec.Faults.DupProb = *dupProb
-		}
-		if use("delay_prob") {
-			spec.Faults.DelayProb = *delayProb
-		}
-		if use("delay") {
-			spec.Faults.Delay = job.Duration(*delay)
-		}
-	}
-	if spec.IntraThreads == 0 {
-		spec.IntraThreads = 2
-	}
-	if legacy {
-		// The legacy flags expressed the unsupervised path as plain constant
-		// LR and the elastic path as the linear-scaling schedule; keep that
-		// mapping when no spec file says otherwise.
-		if spec.Elastic {
-			spec.LRPolicy = "scaled"
-		}
-	}
-	spec.WithDefaults()
-	if spec.DieRank != nil {
-		// The old flags clamped rather than rejected an out-of-range death
-		// step; preserve that before the spec's stricter validation.
-		spec.DieStep = int64(clampDieStep(int(spec.DieStep), spec.Steps-1))
-	}
-	if err := spec.Validate(); err != nil {
+	spec, err := job.LoadSpec(*jobFile)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "mpirun:", err)
 		os.Exit(exitFailure)
 	}
-
-	// Fault streams keep their own seed flag (historically independent of
-	// the data-sharding seed).
-	fault := spec.FaultConfig()
-	if legacy || set["fault_seed"] {
-		fault.Seed = *faultSeed
+	if *profileMode != "" && *profileMode != "cpu" && *profileMode != "heap" {
+		fmt.Fprintf(os.Stderr, "mpirun: -profile must be cpu or heap, got %q\n", *profileMode)
+		os.Exit(exitFailure)
 	}
 
 	if rankStr := os.Getenv("DNNPERF_RANK"); rankStr != "" {
 		if dir := os.Getenv("DNNPERF_CKPT_DIR"); dir != "" && spec.CkptDir == "" {
 			spec.CkptDir = dir
 		}
-		if *profileMode != "" && *profileMode != "cpu" && *profileMode != "heap" {
-			fmt.Fprintf(os.Stderr, "mpirun: -profile must be cpu or heap, got %q\n", *profileMode)
-			os.Exit(exitFailure)
-		}
 		cfg := workerConfig{
 			spec:    spec,
-			fault:   fault,
 			joiner:  os.Getenv("DNNPERF_JOINER") == "1",
 			metrics: *metricsPath, trace: *tracePath,
 			listen: *listen, publishEvery: *publishEvery,
@@ -233,10 +125,6 @@ func main() {
 			flightDir: *flightDir,
 		}
 		os.Exit(worker(rankStr, cfg))
-	}
-	if spec.Regrow && !spec.Elastic {
-		fmt.Fprintln(os.Stderr, "mpirun: -regrow requires -elastic")
-		os.Exit(exitFailure)
 	}
 	code, err := launch(spec)
 	if err != nil {
@@ -252,9 +140,6 @@ func main() {
 // process as a joiner, whose exit joins the classification.
 func launch(spec *job.Spec) (int, error) {
 	np := spec.Ranks()
-	if np < 1 {
-		return exitFailure, fmt.Errorf("np must be >= 1")
-	}
 	dieRank := -1
 	if spec.DieRank != nil {
 		dieRank = *spec.DieRank
@@ -289,7 +174,6 @@ func launch(spec *job.Spec) (int, error) {
 		cmd := exec.Command(self, os.Args[1:]...)
 		cmd.Env = append(append([]string(nil), env...),
 			"DNNPERF_RANK="+strconv.Itoa(r),
-			"DNNPERF_SIZE="+strconv.Itoa(np),
 			"DNNPERF_ROOT="+root,
 		)
 		if joiner {
@@ -336,7 +220,7 @@ func launch(spec *job.Spec) (int, error) {
 		case exitInjectedDeath:
 			died++
 			// The leader (rank 0) must survive for regrow to be possible.
-			if spec.Regrow && spec.Elastic && !relaunched && pe.rank == dieRank && pe.rank >= 1 {
+			if spec.Regrow && !relaunched && pe.rank == dieRank && pe.rank >= 1 {
 				cmd, err := spawn(pe.rank, true)
 				if err != nil {
 					failed++
@@ -377,7 +261,6 @@ func launch(spec *job.Spec) (int, error) {
 // plus the launcher-side observability wiring the spec schema doesn't own.
 type workerConfig struct {
 	spec    *job.Spec
-	fault   mpi.FaultConfig
 	joiner  bool   // this process is a relaunched rank rejoining the job
 	metrics string // merged metrics JSON output path ("" = off)
 	trace   string // Chrome trace output path ("" = off)
@@ -411,12 +294,9 @@ func runWorker(rankStr string, cfg workerConfig) (int, error) {
 	if err != nil {
 		return exitFailure, err
 	}
-	size, err := strconv.Atoi(os.Getenv("DNNPERF_SIZE"))
-	if err != nil {
-		return exitFailure, err
-	}
 	root := os.Getenv("DNNPERF_ROOT")
 	spec := cfg.spec
+	size := spec.Ranks()
 
 	// One registry and tracer span every layer of this rank: the transport
 	// (via Instrument), the communicator's algorithm counters, the Horovod
@@ -460,34 +340,26 @@ func runWorker(rankStr string, cfg workerConfig) (int, error) {
 	// Fallback persistence for every path that skips the clean gather.
 	defer prof.finishLocal(cfg.profileDir, rank)
 
-	var raw *mpi.Comm
+	// A relaunched rank has no seat in the rendezvous; it binds a fresh
+	// listener and establishes the leader link through rank 0's retained
+	// one (rank 0 adopted the rendezvous address as its own), then runs
+	// the admission loop inside the supervisor.
+	dial := mpi.DialTCPOpts
 	if cfg.joiner {
-		// A relaunched rank has no seat in the rendezvous; it binds a fresh
-		// listener and establishes the leader link through rank 0's retained
-		// one (rank 0 adopted the rendezvous address as its own), then runs
-		// the admission loop inside the supervisor.
-		raw, err = mpi.RejoinTCP(rank, size, root, "127.0.0.1:0", mpi.TCPOptions{
-			RecvTimeout: spec.RecvTimeout.D(),
-			Telemetry:   reg,
-		})
-	} else {
-		raw, err = mpi.DialTCPOpts(rank, size, root, "127.0.0.1:0", mpi.TCPOptions{
-			RecvTimeout: spec.RecvTimeout.D(),
-			Telemetry:   reg,
-		})
+		dial = mpi.RejoinTCP
 	}
+	raw, err := dial(rank, size, root, "127.0.0.1:0", mpi.TCPOptions{
+		RecvTimeout: spec.RecvTimeout.D(),
+		Telemetry:   reg,
+	})
 	if err != nil {
 		return exitFailure, err
 	}
-	ft := mpi.NewFaultTransport(raw.Endpoint(), cfg.fault)
-	comm := mpi.NewComm(mpi.Instrument(ft, reg))
-	defer comm.Close()
-	if err := spec.TuneComm(comm); err != nil {
+	comm, ft, err := spec.WrapComm(raw, spec.FaultConfig(), reg)
+	if err != nil {
 		return exitFailure, err
 	}
-	if reg != nil {
-		comm.SetTelemetry(reg)
-	}
+	defer comm.Close()
 
 	// The live observability plane: every rank pushes periodic telemetry
 	// bundles toward original rank 0, which serves them over HTTP. Publishing
@@ -529,7 +401,7 @@ func runWorker(rankStr string, cfg workerConfig) (int, error) {
 	live.health.Set(telemetry.HealthOK, "world", size)
 
 	if spec.DieRank != nil && *spec.DieRank == rank {
-		die := clampDieStep(int(spec.DieStep), spec.Steps)
+		die := int(spec.DieStep)
 		if _, err := tr.Run(gen, die); err != nil {
 			live.health.Set(telemetry.HealthFailed, "error", err.Error())
 			writeTruncatedTelemetry(rank, reg, tracer, cfg)
@@ -578,10 +450,44 @@ func runWorker(rankStr string, cfg workerConfig) (int, error) {
 			s.FrameworkRequests, s.EngineAllreduces, s.Cycles, float64(s.FusedBytes)/1024, s.MaxFusedTensors)
 		if fs := ft.Stats(); fs.Dropped+fs.Delayed+fs.Duplicated > 0 {
 			fmt.Printf("faults: %d sent, %d dropped, %d delayed, %d duplicated (seed %d)\n",
-				fs.Sent, fs.Dropped, fs.Delayed, fs.Duplicated, cfg.fault.Seed)
+				fs.Sent, fs.Dropped, fs.Delayed, fs.Duplicated, spec.Seed)
 		}
 	}
 	return exitClean, nil
+}
+
+// writeTelemetry is the one write step behind the three exports below: the
+// metrics document for snaps and the Chrome trace of events, each to its
+// configured path, carrying the "truncated": true marker on the
+// abnormal-exit path.
+func writeTelemetry(cfg workerConfig, snaps []telemetry.Snapshot, events []telemetry.TraceEvent, truncated bool) error {
+	writeMetrics, writeTrace, note := telemetry.WriteMetrics, telemetry.WriteChromeTrace, ""
+	if truncated {
+		writeMetrics, writeTrace = telemetry.WriteMetricsTruncated, telemetry.WriteChromeTraceTruncated
+		note = " (truncated: abnormal exit)"
+	}
+	if cfg.metrics != "" {
+		if err := writeFileWith(cfg.metrics, func(w *os.File) error { return writeMetrics(w, snaps) }); err != nil {
+			return err
+		}
+		fmt.Printf("telemetry: metrics for %d rank(s) -> %s%s\n", len(snaps), cfg.metrics, note)
+	}
+	if cfg.trace != "" {
+		if err := writeFileWith(cfg.trace, func(w *os.File) error { return writeTrace(w, events) }); err != nil {
+			return err
+		}
+		fmt.Printf("telemetry: %d trace event(s) -> %s%s\n", len(events), cfg.trace, note)
+	}
+	return nil
+}
+
+// localTelemetry snapshots one rank's own registry and trace, the events
+// under the rank's process-name header.
+func localTelemetry(rank int, reg *telemetry.Registry, tracer *telemetry.Tracer) ([]telemetry.Snapshot, []telemetry.TraceEvent) {
+	snap := reg.Snapshot()
+	snap.Rank = rank
+	events := append([]telemetry.TraceEvent{telemetry.ProcessName(rank, fmt.Sprintf("rank %d", rank))}, tracer.Events()...)
+	return []telemetry.Snapshot{snap}, events
 }
 
 // exportTelemetry gathers every rank's metrics snapshot and trace events to
@@ -619,48 +525,15 @@ func exportTelemetry(comm *mpi.Comm, rank int, reg *telemetry.Registry, tracer *
 			events = append(events, b.Events...)
 		}
 	}
-	if cfg.metrics != "" {
-		if err := writeFileWith(cfg.metrics, func(w *os.File) error {
-			return telemetry.WriteMetrics(w, snaps)
-		}); err != nil {
-			return err
-		}
-		fmt.Printf("telemetry: merged metrics for %d rank(s) -> %s\n", len(snaps), cfg.metrics)
-	}
-	if cfg.trace != "" {
-		if err := writeFileWith(cfg.trace, func(w *os.File) error {
-			return telemetry.WriteChromeTrace(w, events)
-		}); err != nil {
-			return err
-		}
-		fmt.Printf("telemetry: %d trace event(s) -> %s\n", len(events), cfg.trace)
-	}
-	return nil
+	return writeTelemetry(cfg, snaps, events, false)
 }
 
 // writeLocalTelemetry writes one rank's own metrics and trace without a
 // gather — the elastic path, where the original communicator may be stale
 // after a shrink, so only the final leader exports its local view.
 func writeLocalTelemetry(rank int, reg *telemetry.Registry, tracer *telemetry.Tracer, cfg workerConfig) error {
-	if cfg.metrics != "" {
-		snap := reg.Snapshot()
-		snap.Rank = rank
-		if err := writeFileWith(cfg.metrics, func(w *os.File) error {
-			return telemetry.WriteMetrics(w, []telemetry.Snapshot{snap})
-		}); err != nil {
-			return err
-		}
-	}
-	if cfg.trace != "" {
-		events := tracer.Events()
-		events = append([]telemetry.TraceEvent{telemetry.ProcessName(rank, fmt.Sprintf("rank %d", rank))}, events...)
-		if err := writeFileWith(cfg.trace, func(w *os.File) error {
-			return telemetry.WriteChromeTrace(w, events)
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
+	snaps, events := localTelemetry(rank, reg, tracer)
+	return writeTelemetry(cfg, snaps, events, false)
 }
 
 // writeTruncatedTelemetry is the abnormal-exit export: rank 0 writes its
@@ -676,22 +549,8 @@ func writeTruncatedTelemetry(rank int, reg *telemetry.Registry, tracer *telemetr
 	if rank != 0 {
 		return // only rank 0 owns the output paths
 	}
-	if cfg.metrics != "" && reg != nil {
-		snap := reg.Snapshot()
-		snap.Rank = rank
-		writeFileWith(cfg.metrics, func(w *os.File) error {
-			return telemetry.WriteMetricsTruncated(w, []telemetry.Snapshot{snap})
-		})
-		fmt.Printf("telemetry: truncated metrics (abnormal exit) -> %s\n", cfg.metrics)
-	}
-	if cfg.trace != "" && tracer != nil {
-		events := append([]telemetry.TraceEvent{telemetry.ProcessName(rank, fmt.Sprintf("rank %d", rank))},
-			tracer.Events()...)
-		writeFileWith(cfg.trace, func(w *os.File) error {
-			return telemetry.WriteChromeTraceTruncated(w, events)
-		})
-		fmt.Printf("telemetry: truncated trace (abnormal exit) -> %s\n", cfg.trace)
-	}
+	snaps, events := localTelemetry(rank, reg, tracer)
+	_ = writeTelemetry(cfg, snaps, events, true) // best-effort, see above
 }
 
 // dumpFlight flushes this rank's flight-recorder ring to a JSON dump file so
@@ -801,16 +660,6 @@ func writeFileWith(path string, write func(*os.File) error) error {
 	return f.Close()
 }
 
-func clampDieStep(die, steps int) int {
-	if die < 1 {
-		die = 1
-	}
-	if die > steps {
-		die = steps
-	}
-	return die
-}
-
 // elasticWorker runs the supervised loop; the doomed rank (if this is it)
 // instead trains unsupervised until its death step and aborts. The
 // model/optimizer/generator factories and checkpoint settings all come from
@@ -824,16 +673,16 @@ func elasticWorker(comm *mpi.Comm, rank, size int, cfg workerConfig, reg *teleme
 		// The doomed rank: RunVictim joins the survivors' bootstrap restore
 		// broadcast, trains to the death step, and aborts the transport. (A
 		// relaunched joiner carries the same flags, so the death must not
-		// re-fire on it.)
-		die := int64(clampDieStep(int(spec.DieStep), spec.Steps))
-		err := spec.RunVictim(comm, die, nil)
+		// re-fire on it.) It trains under the worker's tracer, so the
+		// flight-recorder dump below holds its final spans.
+		err := spec.RunVictim(comm, spec.DieStep, tracer, nil)
 		// Partial export either way; a surviving leader overwrites it with
 		// the complete document when the job finishes.
 		writeTruncatedTelemetry(rank, reg, tracer, cfg)
 		if err != nil {
 			return exitFailure, err
 		}
-		fmt.Fprintf(os.Stderr, "rank %d: aborting transport after step %d (elastic crash demo)\n", rank, die)
+		fmt.Fprintf(os.Stderr, "rank %d: aborting transport after step %d (elastic crash demo)\n", rank, spec.DieStep)
 		return exitInjectedDeath, nil
 	}
 
@@ -844,12 +693,8 @@ func elasticWorker(comm *mpi.Comm, rank, size int, cfg workerConfig, reg *teleme
 	scfg.Telemetry = reg
 	scfg.Tracer = tracer
 	scfg.Health = live.health
-	if spec.Regrow {
-		scfg.Joiner = cfg.joiner
-		scfg.RejoinTimeout = spec.RegrowWait.D()
-	} else {
-		scfg.RegrowWait = 0
-	}
+	scfg.Joiner = cfg.joiner
+	scfg.RejoinTimeout = spec.RegrowWait.D()
 	res, err := train.Supervise(scfg)
 	if err != nil {
 		live.health.Set(telemetry.HealthFailed, "error", err.Error())

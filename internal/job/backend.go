@@ -2,13 +2,9 @@ package job
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"dnnperf/internal/mpi"
-	"dnnperf/internal/telemetry"
 	"dnnperf/internal/train"
 	"dnnperf/internal/trainsim"
 )
@@ -90,68 +86,37 @@ type Backend interface {
 	Run(rc *RunContext) (*Result, error)
 }
 
-// runLive is the fleet runner both real backends share: one goroutine per
-// rank over the provided communicators, the doomed-rank path for DieRank
-// specs, supervised elastic training everywhere else, and the preemption
-// boundary wired through HaltAt.
-func runLive(rc *RunContext, comms []*mpi.Comm) (*Result, error) {
+// runLive is the path both real backends share: stage the spec's gang over
+// transport, run it through the Fleet with the DieRank crash demo as the
+// kill set, and wire the preemption boundary and the caller's observer into
+// every rank.
+func runLive(rc *RunContext, transport string) (*Result, error) {
 	spec := &rc.Spec
-	n := len(comms)
-	var victim = -1
+	fleet, err := NewFleet(spec, transport)
+	if err != nil {
+		return nil, err
+	}
+	kills := map[int]int64{}
 	if spec.DieRank != nil {
-		victim = *spec.DieRank
+		kills[*spec.DieRank] = spec.DieStep
 	}
-	results := make([]*train.SupervisorResult, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for r := 0; r < n; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			hook := func(step int64, st train.StepStats) {
-				rc.recordStep(step)
-				if rc.OnStep != nil {
-					rc.OnStep(r, step, st)
-				}
+	res, errs := fleet.Run(kills, func(r int, cfg *train.SupervisorConfig) {
+		cfg.OnStep = func(step int64, st train.StepStats) {
+			rc.recordStep(step)
+			if rc.OnStep != nil {
+				rc.OnStep(r, step, st)
 			}
-			if r == victim {
-				errs[r] = spec.RunVictim(comms[r], spec.DieStep, hook)
-				return
-			}
-			scfg := spec.SupervisorConfig(comms[r])
-			scfg.Telemetry = telemetry.New()
-			scfg.OnStep = hook
-			scfg.HaltAt = rc.haltAt.Load
-			results[r], errs[r] = train.Supervise(scfg)
-		}(r)
-	}
-	wg.Wait()
-
-	res := &Result{PerRank: results}
-	survivors := make([]int, 0, n)
-	for r := 0; r < n; r++ {
-		if r == victim {
-			continue
 		}
-		if errs[r] != nil {
-			return res, fmt.Errorf("job %s: rank %d: %w", spec.Name, r, errs[r])
+		cfg.HaltAt = rc.haltAt.Load
+	})
+	for r, err := range errs {
+		if _, killed := kills[r]; !killed && err != nil {
+			return res, fmt.Errorf("job %s: rank %d: %w", spec.Name, r, err)
 		}
-		survivors = append(survivors, r)
 	}
-	sort.Ints(survivors)
-	if len(survivors) == 0 {
+	if res.Outcome == "" {
 		return res, fmt.Errorf("job %s: no surviving ranks", spec.Name)
 	}
-	low := results[survivors[0]]
-	res.Outcome = low.Outcome.String()
-	res.FinalStep = low.FinalStep
-	res.WorldSize = low.WorldSize
-	res.WeightsCRC = low.WeightsCRC
-	res.Recoveries = len(low.Recoveries)
-	res.Regrows = len(low.Regrows)
-	res.Preempted = low.Outcome == train.OutcomePreempted
-	res.ImagesPerSec = train.Throughput(low.Steps)
-	res.Bottleneck, res.CommFrac = attributeBottleneck(low.Steps)
 	return res, nil
 }
 
@@ -181,22 +146,7 @@ type InprocBackend struct{}
 
 func (InprocBackend) Name() string { return "inproc" }
 
-func (InprocBackend) Run(rc *RunContext) (*Result, error) {
-	spec := &rc.Spec
-	rt := spec.RecvTimeout.D()
-	if rt <= 0 {
-		rt = 500 * time.Millisecond
-	}
-	w, err := mpi.NewWorldOpts(spec.Ranks(), mpi.WorldOptions{RecvTimeout: rt})
-	if err != nil {
-		return nil, err
-	}
-	comms, err := wrapFleet(spec, func(r int) *mpi.Comm { return w.Comm(r) })
-	if err != nil {
-		return nil, err
-	}
-	return runLive(rc, comms)
-}
+func (InprocBackend) Run(rc *RunContext) (*Result, error) { return runLive(rc, "inproc") }
 
 // TCPBackend runs the gang over real loopback sockets — the same transport
 // the mpirun worker processes use, in one process.
@@ -204,37 +154,4 @@ type TCPBackend struct{}
 
 func (TCPBackend) Name() string { return "tcp" }
 
-func (TCPBackend) Run(rc *RunContext) (*Result, error) {
-	spec := &rc.Spec
-	rt := spec.RecvTimeout.D()
-	if rt <= 0 {
-		rt = time.Second
-	}
-	raw, err := mpi.StartLocalTCPJobOpts(spec.Ranks(), mpi.TCPOptions{
-		RecvTimeout:  rt,
-		DrainTimeout: 200 * time.Millisecond,
-	})
-	if err != nil {
-		return nil, err
-	}
-	comms, err := wrapFleet(spec, func(r int) *mpi.Comm { return raw[r] })
-	if err != nil {
-		return nil, err
-	}
-	return runLive(rc, comms)
-}
-
-// wrapFleet wraps each rank's raw communicator in the spec's fault
-// transport and applies collective tuning.
-func wrapFleet(spec *Spec, rawComm func(r int) *mpi.Comm) ([]*mpi.Comm, error) {
-	n := spec.Ranks()
-	base := spec.FaultConfig()
-	comms := make([]*mpi.Comm, n)
-	for r := 0; r < n; r++ {
-		comms[r] = mpi.NewComm(mpi.NewFaultTransport(rawComm(r).Endpoint(), base))
-		if err := spec.TuneComm(comms[r]); err != nil {
-			return nil, err
-		}
-	}
-	return comms, nil
-}
+func (TCPBackend) Run(rc *RunContext) (*Result, error) { return runLive(rc, "tcp") }

@@ -72,22 +72,30 @@ func (s *Spec) SupervisorConfig(comm *mpi.Comm) train.SupervisorConfig {
 	}
 }
 
-// TuneComm applies the spec's collective tuning (allreduce algorithm,
-// ring segment size) to a communicator.
-func (s *Spec) TuneComm(c *mpi.Comm) error {
+// WrapComm is the per-rank staging step every live launch shares (the Fleet
+// for each of its slots, an mpirun worker process for its single rank): raw
+// communicator → fault transport at rates fc → transport counters when reg
+// is set → a communicator carrying the spec's collective tuning. The fault
+// transport comes back too, for partitions, rate swaps and its statistics.
+func (s *Spec) WrapComm(raw *mpi.Comm, fc mpi.FaultConfig, reg *telemetry.Registry) (*mpi.Comm, *mpi.FaultTransport, error) {
+	ft := mpi.NewFaultTransport(raw.Endpoint(), fc)
+	comm := mpi.NewComm(mpi.Instrument(ft, reg))
+	if reg != nil {
+		comm.SetTelemetry(reg)
+	}
 	if s.AllreduceAlg != "" && s.AllreduceAlg != "auto" {
 		alg, err := mpi.ParseAllreduceAlg(s.AllreduceAlg)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
-		if err := c.SetAllreduceAlg(alg); err != nil {
-			return err
+		if err := comm.SetAllreduceAlg(alg); err != nil {
+			return nil, nil, err
 		}
 	}
 	if s.SegmentBytes > 0 {
-		c.SetSegmentBytes(s.SegmentBytes)
+		comm.SetSegmentBytes(s.SegmentBytes)
 	}
-	return nil
+	return comm, ft, nil
 }
 
 // FaultConfig renders the spec's fault template for one transport, anchored
@@ -109,15 +117,10 @@ func (s *Spec) FaultConfig() mpi.FaultConfig {
 // supervised ranks' bootstrap restore broadcast (which runs exactly when a
 // checkpoint directory is configured), train unsupervised to killStep firing
 // the observer hook, then abort the transport without a goodbye — the crash
-// the survivors must absorb.
-func (s *Spec) RunVictim(comm *mpi.Comm, killStep int64, onStep func(step int64, st train.StepStats)) error {
-	return s.RunVictimTraced(comm, killStep, nil, onStep)
-}
-
-// RunVictimTraced is RunVictim with a tracer spanning the doomed rank's
-// engine and training loop — typically a ring-only tracer feeding a flight
-// recorder, so the crash leaves its final spans behind for a post-mortem.
-func (s *Spec) RunVictimTraced(comm *mpi.Comm, killStep int64, tracer *telemetry.Tracer, onStep func(step int64, st train.StepStats)) error {
+// the survivors must absorb. tracer, if set, spans the doomed rank's engine
+// and training loop — typically feeding a flight recorder, so the crash
+// leaves its final spans behind for a post-mortem.
+func (s *Spec) RunVictim(comm *mpi.Comm, killStep int64, tracer *telemetry.Tracer, onStep func(step int64, st train.StepStats)) error {
 	if s.CkptDir != "" {
 		if _, err := comm.BcastBytes(nil, 0); err != nil {
 			return err

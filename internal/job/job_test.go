@@ -2,10 +2,39 @@ package job
 
 import (
 	"bytes"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 )
+
+// TestLibraryJobSpecsValid loads every committed mpirun job spec, so a
+// schema change that orphans examples/jobs fails here and not in a CI smoke
+// job — and pins that each spells out what mpirun's retired flags used to
+// imply instead of leaning on a launcher default.
+func TestLibraryJobSpecsValid(t *testing.T) {
+	paths, err := filepath.Glob("../../examples/jobs/*.yaml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) < 4 {
+		t.Fatalf("job spec library too small: %d files", len(paths))
+	}
+	for _, path := range paths {
+		spec, err := LoadSpec(path)
+		if err != nil {
+			t.Errorf("%s: %v", path, err)
+			continue
+		}
+		if spec.Ranks() < 2 || spec.RecvTimeout <= 0 || spec.IntraThreads != 2 {
+			t.Errorf("%s: ranks=%d recv_timeout=%v intra_threads=%d — the gang, the deadline and the executor width must be explicit",
+				path, spec.Ranks(), spec.RecvTimeout.D(), spec.IntraThreads)
+		}
+		if spec.Elastic && spec.LRPolicy != "scaled" {
+			t.Errorf("%s: elastic spec with lr_policy %q, want scaled (the rate must follow the shrunk world)", path, spec.LRPolicy)
+		}
+	}
+}
 
 func TestSpecDefaultsAndValidate(t *testing.T) {
 	spec, err := ParseSpec([]byte("name: demo\nelastic: true\n"))
@@ -30,6 +59,9 @@ func TestSpecDefaultsAndValidate(t *testing.T) {
 	}
 	if _, err := ParseSpec([]byte("die_rank: 5\ndie_step: 2\n")); err == nil {
 		t.Fatal("out-of-range die_rank accepted")
+	}
+	if _, err := ParseSpec([]byte("regrow: true\n")); err == nil {
+		t.Fatal("regrow without elastic accepted")
 	}
 }
 

@@ -2,11 +2,15 @@
 // launch path parses (cmd/mpirun, cmd/dnnsched, the experiment runner, the
 // scenario harness), one Handle state machine tracking a job from submission
 // to completion, and one Backend interface with three implementations —
-// inproc (train.Supervise over in-process mpi worlds), tcp (the same over
-// real loopback sockets), and sim (the trainsim analytical simulator). The
-// gang scheduler in scheduler.go drives thousands of simulated jobs and real
-// small jobs through the identical policy code, with preemption implemented
-// as a cooperative elastic halt + checkpoint + later regrow.
+// inproc, tcp (the same over real loopback sockets), and sim (the trainsim
+// analytical simulator). Every live gang in the tree is staged and run by
+// the Fleet in fleet.go — the single rank fan-out (victims, supervised
+// ranks, restarted joiners, and which survivor speaks for the job) that the
+// two real backends, the scenario harness and the experiment runner call;
+// mpirun's worker processes share its per-rank staging step, Spec.WrapComm.
+// The gang scheduler in scheduler.go drives thousands of simulated jobs and
+// real small jobs through the identical policy code, with preemption
+// implemented as a cooperative elastic halt + checkpoint + later regrow.
 package job
 
 import (
@@ -161,6 +165,9 @@ func (s *Spec) Validate() error {
 	case "constant", "scaled":
 	default:
 		return fmt.Errorf("job %s: unknown lr_policy %q (want constant or scaled)", s.Name, s.LRPolicy)
+	}
+	if s.Regrow && !s.Elastic {
+		return fmt.Errorf("job %s: regrow requires elastic", s.Name)
 	}
 	if s.DieRank != nil {
 		if *s.DieRank < 0 || *s.DieRank >= s.Ranks() {

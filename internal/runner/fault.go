@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"dnnperf/internal/job"
 	"dnnperf/internal/mpi"
 )
 
@@ -30,7 +31,8 @@ func runFaultTol() (*Table, error) {
 	)
 	type scenario struct {
 		name      string
-		cfg       mpi.FaultConfig
+		seed      int64
+		faults    *job.Faults
 		partition bool // sever rank 0 -> rank 1
 		rounds    int
 	}
@@ -39,8 +41,8 @@ func runFaultTol() (*Table, error) {
 	// rather than a survivable fault (see mpi.FaultConfig).
 	scenarios := []scenario{
 		{name: "clean", rounds: 5},
-		{name: "delay 50% x1ms", cfg: mpi.FaultConfig{Seed: 1, DelayProb: 0.5, Delay: time.Millisecond}, rounds: 5},
-		{name: "duplicate 100%", cfg: mpi.FaultConfig{Seed: 2, DupProb: 1}, rounds: 1},
+		{name: "delay 50% x1ms", seed: 1, faults: &job.Faults{DelayProb: 0.5, Delay: job.Duration(time.Millisecond)}, rounds: 5},
+		{name: "duplicate 100%", seed: 2, faults: &job.Faults{DupProb: 1}, rounds: 1},
 		{name: "partition 0->1", partition: true, rounds: 1},
 	}
 
@@ -54,17 +56,16 @@ func runFaultTol() (*Table, error) {
 	}
 
 	for _, sc := range scenarios {
-		w, err := mpi.NewWorldOpts(ranks, mpi.WorldOptions{RecvTimeout: recvTimeout})
+		spec := &job.Spec{PPN: ranks, Seed: sc.seed, Faults: sc.faults, RecvTimeout: job.Duration(recvTimeout)}
+		if err := spec.Validate(); err != nil {
+			return nil, err
+		}
+		fleet, err := job.NewFleet(spec, "inproc")
 		if err != nil {
 			return nil, err
 		}
-		comms := make([]*mpi.Comm, ranks)
-		for r := 0; r < ranks; r++ {
-			ft := mpi.NewFaultTransport(w.Comm(r).Endpoint(), sc.cfg)
-			if sc.partition && r == 0 {
-				ft.Partition(1)
-			}
-			comms[r] = mpi.NewComm(ft)
+		if sc.partition {
+			fleet.Fault(0).Partition(1)
 		}
 
 		completed, typed := 0, 0
@@ -82,7 +83,7 @@ func runFaultTol() (*Table, error) {
 						buf[i] = float32(r)
 					}
 					bufs[r] = buf
-					errs[r] = comms[r].AllreduceRing(buf, mpi.OpSum)
+					errs[r] = fleet.Comm(r).AllreduceRing(buf, mpi.OpSum)
 				}(r)
 			}
 			wg.Wait()

@@ -3,11 +3,9 @@ package runner
 import (
 	"fmt"
 	"os"
-	"sync"
 	"time"
 
 	"dnnperf/internal/job"
-	"dnnperf/internal/mpi"
 	"dnnperf/internal/train"
 )
 
@@ -55,50 +53,31 @@ func runElastic() (*Table, error) {
 	}
 
 	for _, sc := range scenarios {
-		w, err := mpi.NewWorldOpts(ranks, mpi.WorldOptions{RecvTimeout: recvTimeout})
-		if err != nil {
-			return nil, err
-		}
 		dir, err := os.MkdirTemp("", "dnnperf-elastic-*")
 		if err != nil {
 			return nil, err
 		}
-		// One job.Spec rules every rank of the scenario — the same schema
-		// mpirun and dnnsched run.
-		spec := &job.Spec{
-			Name: "elastic-" + sc.name, PPN: ranks,
+		// One job.Spec is the whole scenario, crash included — the same
+		// schema mpirun and dnnsched run, through the same backend.
+		spec := job.Spec{
+			Name: "elastic-" + sc.name, PPN: ranks, RecvTimeout: job.Duration(recvTimeout),
 			Steps: 10, Elastic: true, CkptDir: dir, CkptEvery: 2,
+		}
+		if sc.dieRank >= 0 {
+			spec.DieRank, spec.DieStep = &sc.dieRank, int64(sc.dieStep)
 		}
 		if err := spec.Validate(); err != nil {
 			return nil, err
 		}
-
-		var wg sync.WaitGroup
-		results := make([]*train.SupervisorResult, ranks)
-		errs := make([]error, ranks)
-		for r := 0; r < ranks; r++ {
-			wg.Add(1)
-			go func(r int) {
-				defer wg.Done()
-				comm := w.Comm(r)
-				if r == sc.dieRank {
-					errs[r] = spec.RunVictim(comm, int64(sc.dieStep), nil)
-					return
-				}
-				results[r], errs[r] = train.Supervise(spec.SupervisorConfig(comm))
-			}(r)
-		}
-		wg.Wait()
+		out, err := job.InprocBackend{}.Run(&job.RunContext{Spec: spec})
 		os.RemoveAll(dir)
-		for r, err := range errs {
-			if err != nil {
-				return nil, fmt.Errorf("elastic %q rank %d: %w", sc.name, r, err)
-			}
+		if err != nil {
+			return nil, fmt.Errorf("elastic %q: %w", sc.name, err)
 		}
 
 		// Report the final leader's view (any survivor works: they agree).
 		var res *train.SupervisorResult
-		for _, rr := range results {
+		for _, rr := range out.PerRank {
 			if rr != nil && rr.Rank == 0 {
 				res = rr
 			}

@@ -150,163 +150,72 @@ func passWord(ok bool) string {
 	return "FAIL"
 }
 
-// faultConfig renders a template into the mpi layer's config, anchored to
-// the scenario seed so every random stream replays.
-func faultConfig(seed int64, f *Faults) mpi.FaultConfig {
-	if f == nil {
-		return mpi.FaultConfig{Seed: seed}
-	}
-	return mpi.FaultConfig{
-		Seed:      seed,
-		DropProb:  f.DropProb,
-		DelayProb: f.DelayProb,
-		Delay:     f.Delay.D(),
-		DupProb:   f.DupProb,
+// applyEvent applies one timeline event on rank r's current transport.
+// Partitions are symmetric: the target blocks all its sends, peers block
+// sends toward it, so both directions of the cut are real. A set_faults
+// template renders through the job schema, anchored to the job's seed so
+// every random stream replays.
+func applyEvent(js *job.Spec, fleet *job.Fleet, r int, ev *Event) {
+	ft := fleet.Fault(r)
+	switch ev.Action {
+	case "partition":
+		if r == ev.Rank {
+			ft.PartitionAll()
+		} else {
+			ft.Partition(ev.Rank)
+		}
+	case "heal":
+		if r == ev.Rank {
+			ft.HealAll()
+		} else {
+			ft.Heal(ev.Rank)
+			// The cut was symmetric, so the heal must be too — and the
+			// target cannot restore its own side: a rank that lost
+			// quorum parks, its step hook stops firing, and it would
+			// stay self-isolated forever waiting for a heal only it
+			// could apply.
+			fleet.Fault(ev.Rank).Heal(r)
+		}
+	case "set_faults":
+		tmpl := job.Spec{Seed: js.Seed, Faults: ev.Faults}
+		ft.SetConfig(tmpl.FaultConfig())
 	}
 }
 
-// buildFleet stages the live transports: the raw job, one FaultTransport
-// per rank, and tuned communicators over them. The returned rejoin factory
-// relaunches a dead rank as a fresh endpoint (a restart_rank event's
-// joiner): a drained in-process mailbox set, or a new socket endpoint that
-// finds the job through rank 0's retained rendezvous listener.
-func buildFleet(spec *Spec) (fts []*mpi.FaultTransport, comms []*mpi.Comm, rejoin func(rank int) (*mpi.Comm, error), err error) {
-	n := spec.Fleet.Ranks
-	base := faultConfig(spec.Seed, spec.Faults)
-	raw := make([]*mpi.Comm, n)
-	tune := func(c *mpi.Comm) error {
-		if spec.Job.AllreduceAlg != "" {
-			alg, aerr := mpi.ParseAllreduceAlg(spec.Job.AllreduceAlg)
-			if aerr != nil {
-				return aerr
-			}
-			if aerr := c.SetAllreduceAlg(alg); aerr != nil {
-				return aerr
-			}
-		}
-		if spec.Job.SegmentBytes > 0 {
-			c.SetSegmentBytes(spec.Job.SegmentBytes)
-		}
-		return nil
-	}
-	wrap := func(c *mpi.Comm) (*mpi.Comm, error) {
-		cc := mpi.NewComm(mpi.NewFaultTransport(c.Endpoint(), base))
-		if err := tune(cc); err != nil {
-			return nil, err
-		}
-		return cc, nil
-	}
-	switch spec.Fleet.Transport {
-	case "inproc":
-		w, werr := mpi.NewWorldOpts(n, mpi.WorldOptions{RecvTimeout: spec.Fleet.RecvTimeout.D()})
-		if werr != nil {
-			return nil, nil, nil, werr
-		}
-		for r := 0; r < n; r++ {
-			raw[r] = w.Comm(r)
-		}
-		rejoin = func(rank int) (*mpi.Comm, error) { return wrap(w.Rejoin(rank)) }
-	case "tcp":
-		topts := mpi.TCPOptions{
-			RecvTimeout:  spec.Fleet.RecvTimeout.D(),
-			DrainTimeout: 200 * time.Millisecond,
-		}
-		tcp, terr := mpi.StartLocalTCPJobOpts(n, topts)
-		if terr != nil {
-			return nil, nil, nil, terr
-		}
-		raw = tcp
-		rootAddr := raw[0].PeerAddrs()[0]
-		rejoin = func(rank int) (*mpi.Comm, error) {
-			jc, jerr := mpi.RejoinTCP(rank, n, rootAddr, "127.0.0.1:0", topts)
-			if jerr != nil {
-				return nil, jerr
-			}
-			return wrap(jc)
-		}
-	default:
-		return nil, nil, nil, fmt.Errorf("scenario: transport %q has no live fleet", spec.Fleet.Transport)
-	}
-	fts = make([]*mpi.FaultTransport, n)
-	comms = make([]*mpi.Comm, n)
-	for r := 0; r < n; r++ {
-		fts[r] = mpi.NewFaultTransport(raw[r].Endpoint(), base)
-		comms[r] = mpi.NewComm(fts[r])
-		if err := tune(comms[r]); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	return fts, comms, rejoin, nil
-}
-
-// trainControl is the shared state of a train-kind run: the fault
-// transports the timeline manipulates, per-(event,rank) fire-once guards,
-// and the straggler detector every rank feeds.
+// trainControl is the shared state of a train-kind run: the fleet whose
+// fault transports the timeline manipulates and whose Restart relaunches a
+// killed rank, per-(event,rank) fire-once guards, and the straggler detector
+// every rank feeds.
 type trainControl struct {
 	spec  *Spec
-	fts   []*mpi.FaultTransport
+	js    *job.Spec
+	fleet *job.Fleet
 	det   *detect.Detector
-	once  []map[int]*sync.Once // once[eventIdx][rank]
-	fired []atomic.Bool        // event ever fired on any rank
-	// restart relaunches a killed rank as a joiner; set by runTrain before
-	// the fleet starts. Fired at most once per restart_rank event, from the
-	// first surviving rank whose step reaches the trigger.
-	restart func(rank int)
+	once  [][]sync.Once // once[eventIdx][rank]
+	fired []atomic.Bool // event ever fired on any rank
 }
 
-func newTrainControl(spec *Spec, fts []*mpi.FaultTransport, det *detect.Detector) *trainControl {
+func newTrainControl(spec *Spec, js *job.Spec, fleet *job.Fleet, det *detect.Detector) *trainControl {
 	ctl := &trainControl{
 		spec:  spec,
-		fts:   fts,
+		js:    js,
+		fleet: fleet,
 		det:   det,
-		once:  make([]map[int]*sync.Once, len(spec.Timeline)),
+		once:  make([][]sync.Once, len(spec.Timeline)),
 		fired: make([]atomic.Bool, len(spec.Timeline)),
 	}
 	for i := range ctl.once {
-		ctl.once[i] = make(map[int]*sync.Once, len(fts))
-		for r := range fts {
-			ctl.once[i][r] = &sync.Once{}
-		}
+		ctl.once[i] = make([]sync.Once, spec.Fleet.Ranks)
 	}
 	return ctl
 }
 
-// applyEvent applies one timeline event on rank r's transport. Partitions
-// are symmetric: the target blocks all its sends, peers block sends
-// toward it, so both directions of the cut are real.
-func (ctl *trainControl) applyEvent(i, r int, ev *Event) {
+// fire applies timeline event i on rank r, once per (event, rank).
+func (ctl *trainControl) fire(i, r int, ev *Event) {
 	ctl.once[i][r].Do(func() {
-		switch ev.Action {
-		case "partition":
-			if r == ev.Rank {
-				ctl.fts[r].PartitionAll()
-			} else {
-				ctl.fts[r].Partition(ev.Rank)
-			}
-		case "heal":
-			if r == ev.Rank {
-				ctl.fts[r].HealAll()
-			} else {
-				ctl.fts[r].Heal(ev.Rank)
-				// The cut was symmetric, so the heal must be too — and the
-				// target cannot restore its own side: a rank that lost
-				// quorum parks, its step hook stops firing, and it would
-				// stay self-isolated forever waiting for a heal only it
-				// could apply.
-				ctl.fts[ev.Rank].Heal(r)
-			}
-		case "set_faults":
-			ctl.fts[r].SetConfig(faultConfig(ctl.spec.Seed, ev.Faults))
-		}
+		applyEvent(ctl.js, ctl.fleet, r, ev)
 		ctl.fired[i].Store(true)
 	})
-}
-
-// applyWallEvent fires a wall-clock event across the whole fleet at once.
-func (ctl *trainControl) applyWallEvent(i int, ev *Event) {
-	for r := range ctl.fts {
-		ctl.applyEvent(i, r, ev)
-	}
 }
 
 // hook is rank r's OnStep observer: it fires step-scheduled events,
@@ -330,9 +239,8 @@ func (ctl *trainControl) hook(r int) func(int64, train.StepStats) {
 				// that already passed it before the failure. The CAS keeps
 				// the relaunch single-shot; the dead rank itself obviously
 				// cannot fire its own restart.
-				if r != ev.Rank && step >= ev.AtStep &&
-					ctl.fired[i].CompareAndSwap(false, true) && ctl.restart != nil {
-					ctl.restart(ev.Rank)
+				if r != ev.Rank && step >= ev.AtStep && ctl.fired[i].CompareAndSwap(false, true) {
+					ctl.fleet.Restart(ev.Rank)
 				}
 				continue
 			}
@@ -348,7 +256,7 @@ func (ctl *trainControl) hook(r int) func(int64, train.StepStats) {
 				continue
 			}
 			if step == ev.AtStep {
-				ctl.applyEvent(i, r, ev)
+				ctl.fire(i, r, ev)
 			}
 		}
 		compute := st.Duration - st.CommWait
@@ -359,7 +267,7 @@ func (ctl *trainControl) hook(r int) func(int64, train.StepStats) {
 	}
 }
 
-// jobSpec renders the scenario's train job into the shared job.Spec schema
+// jobSpec renders the scenario's live job into the shared job.Spec schema
 // — the single definition mpirun, dnnsched and the experiment runner
 // execute — so every factory, engine and supervisor knob comes from one
 // place. ckptDir is the resolved on-disk checkpoint directory ("" = none).
@@ -376,12 +284,13 @@ func jobSpec(spec *Spec, ckptDir string) (*job.Spec, error) {
 		CkptEvery:    spec.Job.CkptEvery,
 		RegrowWait:   spec.Job.RegrowWait,
 		RecvTimeout:  spec.Fleet.RecvTimeout,
+		Faults:       spec.Faults,
 		AllreduceAlg: spec.Job.AllreduceAlg,
 		SegmentBytes: spec.Job.SegmentBytes,
+		// Scenario training predates LR scheduling: keep the constant-rate
+		// optimizer so event logs replay.
+		LRPolicy: "constant",
 	}
-	// Scenario training predates LR scheduling: keep the constant-rate
-	// optimizer so event logs replay across the refactor.
-	js.LRPolicy = "constant"
 	if err := js.Validate(); err != nil {
 		return nil, err
 	}
@@ -390,17 +299,6 @@ func jobSpec(spec *Spec, ckptDir string) (*job.Spec, error) {
 
 func runTrain(spec *Spec, opts Options) (*outcome, error) {
 	n := spec.Fleet.Ranks
-	fts, comms, rejoinFn, err := buildFleet(spec)
-	if err != nil {
-		return nil, err
-	}
-	regs := make([]*telemetry.Registry, n)
-	for r := 0; r < n; r++ {
-		regs[r] = telemetry.New()
-	}
-	det := detect.New(detect.Config{}, regs[0], nil)
-	ctl := newTrainControl(spec, fts, det)
-
 	ckptDir := ""
 	if spec.Job.CkptEvery > 0 {
 		base := opts.OutDir
@@ -416,61 +314,35 @@ func runTrain(spec *Spec, opts Options) (*outcome, error) {
 			return nil, err
 		}
 	}
-
 	js, err := jobSpec(spec, ckptDir)
 	if err != nil {
 		return nil, err
 	}
+	fleet, err := job.NewFleet(js, spec.Fleet.Transport)
+	if err != nil {
+		return nil, err
+	}
+	regs := newRegistries(n)
+	det := detect.New(detect.Config{}, regs[0], nil)
+	ctl := newTrainControl(spec, js, fleet, det)
 	newModel, _, _ := js.Factories()
 
-	// kill_rank targets run doomed (train, then abort); everyone else runs
-	// the supervised elastic loop.
+	// kill_rank targets run doomed (train, then abort), each carrying a
+	// ring-only tracer feeding a flight recorder: the kill leaves its final
+	// spans on disk (under OutDir) instead of vanishing with the rank.
+	// Everyone else runs the supervised elastic loop; a restart_rank target
+	// comes back as a joiner once a survivor's step hook trips the trigger.
 	kills := map[int]int64{}
-	for _, ev := range spec.Timeline {
-		if ev.Action == "kill_rank" {
-			kills[ev.Rank] = ev.AtStep
-		}
-	}
+	flight := map[int]*telemetry.FlightRecorder{}
 	partTargets := map[int]bool{}
 	for _, ev := range spec.Timeline {
-		if ev.Action == "partition" {
+		switch ev.Action {
+		case "kill_rank":
+			kills[ev.Rank] = ev.AtStep
+			flight[ev.Rank] = telemetry.NewFlightRecorder(0)
+		case "partition":
 			partTargets[ev.Rank] = true
 		}
-	}
-	restarts := map[int]bool{}
-	for _, ev := range spec.Timeline {
-		if ev.Action == "restart_rank" || ev.Action == "rejoin" {
-			restarts[ev.Rank] = true
-		}
-	}
-	regrowWait := spec.Job.RegrowWait.D()
-
-	// restart_rank relaunches a killed rank as a joiner once a survivor's
-	// step hook trips the trigger. The joiner rendezvouses through the
-	// rejoin factory, runs the admission loop, and — if readmitted — trains
-	// to the end like everyone else.
-	joinResults := make([]*train.SupervisorResult, n)
-	joinErrs := make([]error, n)
-	var joinWG sync.WaitGroup
-	restartOnce := make([]sync.Once, n)
-	ctl.restart = func(rank int) {
-		restartOnce[rank].Do(func() {
-			joinWG.Add(1)
-			go func() {
-				defer joinWG.Done()
-				jc, jerr := rejoinFn(rank)
-				if jerr != nil {
-					joinErrs[rank] = fmt.Errorf("scenario: restart rank %d: %w", rank, jerr)
-					return
-				}
-				scfg := js.SupervisorConfig(jc)
-				scfg.Telemetry = regs[rank]
-				scfg.OnStep = ctl.hook(rank)
-				scfg.Joiner = true
-				scfg.RejoinTimeout = regrowWait
-				joinResults[rank], joinErrs[rank] = train.Supervise(scfg)
-			}()
-		})
 	}
 
 	// Wall-clock events fire fleet-wide from timers.
@@ -479,7 +351,11 @@ func runTrain(spec *Spec, opts Options) (*outcome, error) {
 		ev := &spec.Timeline[i]
 		if ev.At > 0 && ev.AtStep <= 0 && ev.Action != "kill_rank" && ev.Action != "straggle" {
 			i, ev := i, ev
-			timers = append(timers, time.AfterFunc(ev.At.D(), func() { ctl.applyWallEvent(i, ev) }))
+			timers = append(timers, time.AfterFunc(ev.At.D(), func() {
+				for r := 0; r < n; r++ {
+					ctl.fire(i, r, ev)
+				}
+			}))
 		}
 	}
 	defer func() {
@@ -488,39 +364,24 @@ func runTrain(spec *Spec, opts Options) (*outcome, error) {
 		}
 	}()
 
-	results := make([]*train.SupervisorResult, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for r := 0; r < n; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			if killStep, doomed := kills[r]; doomed {
-				// The doomed rank carries a ring-only tracer feeding a flight
-				// recorder: the kill leaves its final spans on disk (under
-				// OutDir) instead of vanishing with the rank.
-				vtr := telemetry.NewTracer()
-				vtr.SetPID(r)
-				vfr := telemetry.NewFlightRecorder(0)
-				vtr.SetFlightRecorder(vfr, true)
-				errs[r] = js.RunVictimTraced(comms[r], killStep, vtr, ctl.hook(r))
-				if opts.OutDir != "" && vfr.Len() > 0 {
-					path := filepath.Join(opts.OutDir, fmt.Sprintf("flight-%s-rank%d.json", spec.Name, r))
-					if vfr.DumpToFile(path, r, "killed") == nil {
-						opts.logf("  rank %d: flight recorder: %d span(s) -> %s", r, vfr.Len(), path)
-					}
-				}
-				return
+	res, errs := fleet.Run(kills, func(r int, cfg *train.SupervisorConfig) {
+		cfg.Telemetry = regs[r]
+		cfg.OnStep = ctl.hook(r)
+		cfg.RejoinTimeout = spec.Job.RegrowWait.D()
+		if fr := flight[r]; fr != nil && !cfg.Joiner {
+			cfg.Tracer = telemetry.NewTracer()
+			cfg.Tracer.SetPID(r)
+			cfg.Tracer.SetFlightRecorder(fr, true)
+		}
+	})
+	for r, fr := range flight {
+		if opts.OutDir != "" && fr.Len() > 0 {
+			path := filepath.Join(opts.OutDir, fmt.Sprintf("flight-%s-rank%d.json", spec.Name, r))
+			if fr.DumpToFile(path, r, "killed") == nil {
+				opts.logf("  rank %d: flight recorder: %d span(s) -> %s", r, fr.Len(), path)
 			}
-			scfg := js.SupervisorConfig(comms[r])
-			scfg.Telemetry = regs[r]
-			scfg.OnStep = ctl.hook(r)
-			scfg.RejoinTimeout = regrowWait
-			results[r], errs[r] = train.Supervise(scfg)
-		}(r)
+		}
 	}
-	wg.Wait()
-	joinWG.Wait()
 
 	oc := &outcome{
 		spec:       spec,
@@ -531,63 +392,66 @@ func runTrain(spec *Spec, opts Options) (*outcome, error) {
 		newModel:   newModel,
 	}
 	for r := 0; r < n; r++ {
-		if _, doomed := kills[r]; doomed {
-			if joinResults[r] != nil && joinErrs[r] == nil {
-				// The restarted incarnation was readmitted; it speaks for
-				// the rank from here on.
-				oc.supervised[r] = joinResults[r]
-				continue
-			}
-			if restarts[r] && joinErrs[r] != nil {
-				opts.logf("  rank %d: restart: %v", r, joinErrs[r])
+		switch _, doomed := kills[r]; {
+		case res.PerRank[r] != nil:
+			// A survivor — for a killed rank, the readmitted incarnation,
+			// which speaks for the rank from here on.
+			oc.supervised[r] = res.PerRank[r]
+		case doomed:
+			if errs[r] != nil {
+				opts.logf("  rank %d: %v", r, errs[r])
 			}
 			oc.casualties[r] = "killed"
-			continue
-		}
-		if errs[r] != nil && partTargets[r] {
+		case errs[r] != nil && partTargets[r]:
 			// A partitioned rank that could not rejoin is an expected
 			// casualty, not a scenario failure.
 			oc.casualties[r] = "isolated"
-			continue
-		}
-		oc.errs[r] = errs[r]
-		if errs[r] == nil && results[r] != nil {
-			oc.supervised[r] = results[r]
-		}
-		if errs[r] != nil {
+		default:
+			oc.errs[r] = errs[r]
 			opts.logf("  rank %d: %v", r, errs[r])
 		}
 	}
-	survivors := make([]int, 0, n)
-	for r := 0; r < n; r++ {
-		if _, ok := oc.supervised[r]; ok {
-			survivors = append(survivors, r)
+	// The lowest survivor speaks for the job — the rank whose view
+	// fleet.Run already summarised in res.
+	oc.throughput = res.ImagesPerSec
+	for _, low := range res.PerRank {
+		if low != nil {
+			oc.recoveries, oc.regrows = low.Recoveries, low.Regrows
+			break
 		}
 	}
-	if len(survivors) > 0 {
-		low := oc.supervised[survivors[0]]
-		oc.recoveries = low.Recoveries
-		oc.regrows = low.Regrows
-		oc.throughput = train.Throughput(low.Steps)
-	}
 	oc.flagged = det.Stragglers()
-	snaps := make([]telemetry.Snapshot, 0, n)
-	for r := 0; r < n; r++ {
-		s := regs[r].Snapshot()
-		s.Rank = r
-		snaps = append(snaps, s)
+	oc.merged = mergeRanks(regs)
+
+	buildTrainEventLog(oc, ctl)
+	return oc, nil
+}
+
+// newRegistries allocates one telemetry registry per rank.
+func newRegistries(n int) []*telemetry.Registry {
+	regs := make([]*telemetry.Registry, n)
+	for r := range regs {
+		regs[r] = telemetry.New()
+	}
+	return regs
+}
+
+// mergeRanks snapshots every rank's registry into the merged metrics
+// document the report carries.
+func mergeRanks(regs []*telemetry.Registry) *telemetry.MergedMetrics {
+	snaps := make([]telemetry.Snapshot, len(regs))
+	for r, reg := range regs {
+		snaps[r] = reg.Snapshot()
+		snaps[r].Rank = r
 	}
 	m := telemetry.Merge(snaps)
-	oc.merged = &m
-
-	buildTrainEventLog(oc, ctl, survivors)
-	return oc, nil
+	return &m
 }
 
 // buildTrainEventLog assembles the deterministic replay record: declared
 // trigger points, the recovery trajectory, per-rank outcomes. No
 // wall-clock values — those live in the report.
-func buildTrainEventLog(oc *outcome, ctl *trainControl, survivors []int) {
+func buildTrainEventLog(oc *outcome, ctl *trainControl) {
 	spec := oc.spec
 	oc.log("scenario %s seed=%d", spec.Name, spec.Seed)
 	oc.log("fleet ranks=%d transport=%s", spec.Fleet.Ranks, spec.Fleet.Transport)
@@ -665,7 +529,6 @@ func buildTrainEventLog(oc *outcome, ctl *trainControl, survivors []int) {
 		sort.Ints(fl)
 		oc.log("detect flagged=%v", fl)
 	}
-	_ = survivors
 }
 
 // sortedRanks renders a rank set as a sorted slice for stable logging.
@@ -697,14 +560,17 @@ func hasAction(spec *Spec, action string) bool {
 
 func runCollectives(spec *Spec, opts Options) (*outcome, error) {
 	n := spec.Fleet.Ranks
-	fts, comms, _, err := buildFleet(spec)
+	js, err := jobSpec(spec, "")
 	if err != nil {
 		return nil, err
 	}
-	regs := make([]*telemetry.Registry, n)
-	for r := 0; r < n; r++ {
-		regs[r] = telemetry.New()
-		comms[r].SetTelemetry(regs[r])
+	fleet, err := job.NewFleet(js, spec.Fleet.Transport)
+	if err != nil {
+		return nil, err
+	}
+	regs := newRegistries(n)
+	for r, reg := range regs {
+		fleet.Comm(r).SetTelemetry(reg)
 	}
 	oc := &outcome{spec: spec, stats: map[int]mpi.FaultStats{}}
 	oc.log("scenario %s seed=%d", spec.Name, spec.Seed)
@@ -723,7 +589,7 @@ func runCollectives(spec *Spec, opts Options) (*outcome, error) {
 				continue
 			}
 			for r := 0; r < n; r++ {
-				applyCollectiveEvent(spec, fts, i, r, ev)
+				applyEvent(js, fleet, r, ev)
 			}
 			switch ev.Action {
 			case "set_faults":
@@ -745,7 +611,7 @@ func runCollectives(spec *Spec, opts Options) (*outcome, error) {
 					buf[i] = float32(r)
 				}
 				bufs[r] = buf
-				errsR[r] = comms[r].Allreduce(buf, mpi.OpSum)
+				errsR[r] = fleet.Comm(r).Allreduce(buf, mpi.OpSum)
 			}(r)
 		}
 		wg.Wait()
@@ -776,45 +642,16 @@ func runCollectives(spec *Spec, opts Options) (*outcome, error) {
 	// fault stream is seeded and drawn in send order, identical on every
 	// same-seed run.
 	for r := 0; r < n; r++ {
-		st := fts[r].Stats()
+		st := fleet.Fault(r).Stats()
 		oc.stats[r] = st
 		oc.log("rank %d faults sent=%d dropped=%d delayed=%d duplicated=%d blocked=%d",
 			r, st.Sent, st.Dropped, st.Delayed, st.Duplicated, st.Blocked)
 	}
-	snaps := make([]telemetry.Snapshot, 0, n)
+	oc.merged = mergeRanks(regs)
 	for r := 0; r < n; r++ {
-		s := regs[r].Snapshot()
-		s.Rank = r
-		snaps = append(snaps, s)
-	}
-	m := telemetry.Merge(snaps)
-	oc.merged = &m
-	for r := 0; r < n; r++ {
-		comms[r].Close()
+		fleet.Comm(r).Close()
 	}
 	return oc, nil
-}
-
-// applyCollectiveEvent is the collectives-kind event application: no
-// fire-once bookkeeping needed, the control loop already fires each event
-// exactly once.
-func applyCollectiveEvent(spec *Spec, fts []*mpi.FaultTransport, _ int, r int, ev *Event) {
-	switch ev.Action {
-	case "partition":
-		if r == ev.Rank {
-			fts[r].PartitionAll()
-		} else {
-			fts[r].Partition(ev.Rank)
-		}
-	case "heal":
-		if r == ev.Rank {
-			fts[r].HealAll()
-		} else {
-			fts[r].Heal(ev.Rank)
-		}
-	case "set_faults":
-		fts[r].SetConfig(faultConfig(spec.Seed, ev.Faults))
-	}
 }
 
 func orAuto(s string) string {

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"time"
 
+	"dnnperf/internal/job"
 	"dnnperf/internal/yamlite"
 )
 
@@ -71,7 +72,8 @@ type Fleet struct {
 	// "trainsim" (the discrete-event simulator; no live transport).
 	Transport string `json:"transport,omitempty"`
 	// RecvTimeout bounds each Recv so faults convert to typed errors
-	// instead of hangs. Defaults: 500ms inproc, 1s tcp.
+	// instead of hangs. Zero takes the job fleet's per-transport default
+	// (500ms inproc, 1s tcp).
 	RecvTimeout Duration `json:"recv_timeout,omitempty"`
 	// Nodes/PPN shape the simulated cluster for trainsim fleets.
 	Nodes int `json:"nodes,omitempty"`
@@ -125,14 +127,9 @@ type Job struct {
 	BatchPerProc int    `json:"batch_per_proc,omitempty"`
 }
 
-// Faults is a fault-rate template (see mpi.FaultConfig); the per-rank
-// random streams are derived from the scenario seed.
-type Faults struct {
-	DropProb  float64  `json:"drop_prob,omitempty"`
-	DelayProb float64  `json:"delay_prob,omitempty"`
-	Delay     Duration `json:"delay,omitempty"`
-	DupProb   float64  `json:"dup_prob,omitempty"`
-}
+// Faults is the job schema's fault-rate template (see mpi.FaultConfig); the
+// per-rank random streams are derived from the scenario seed.
+type Faults = job.Faults
 
 // Event is one timeline entry: when to fire, and what to do.
 //
@@ -242,13 +239,6 @@ func (s *Spec) withDefaults() {
 	}
 	if s.Job.Kind == "" {
 		s.Job.Kind = "train"
-	}
-	if s.Fleet.RecvTimeout == 0 {
-		if s.Fleet.Transport == "tcp" {
-			s.Fleet.RecvTimeout = Duration(time.Second)
-		} else {
-			s.Fleet.RecvTimeout = Duration(500 * time.Millisecond)
-		}
 	}
 	if s.Job.Steps <= 0 {
 		s.Job.Steps = 8
