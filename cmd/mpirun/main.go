@@ -13,16 +13,17 @@
 // the launcher's observability: telemetry export, the live endpoint,
 // profiles and flight-recorder dumps.
 //
-// A spec's faults block wraps each worker's endpoint in a seeded
-// mpi.FaultTransport (drop/delay/duplicate), and die_rank/die_step make one
-// rank abort its transport mid-run — surviving ranks resolve to typed
-// mpi.PeerError values within the recv deadline instead of hanging.
-//
-// With elastic: true the workers run under the train.Supervisor: the leader
-// checkpoints every ckpt_every steps into ckpt_dir (default: a temp dir the
-// launcher creates), and when die_rank kills a rank the survivors agree on
-// the shrunk world, roll back to the last checkpoint, and finish the full
-// step budget without it.
+// Every worker runs train.Supervise on the config its spec renders — one
+// rank loop whatever the spec says. A faults block wraps the worker's
+// endpoint in a seeded mpi.FaultTransport (drop/delay/duplicate), and
+// die_rank/die_step make one rank abort its transport after that step.
+// What the survivors do then is the spec's elastic setting, which is data
+// (a recovery budget), not a code path. Rigid survivors resolve to typed
+// mpi.PeerError values within the recv deadline instead of hanging, and
+// exit 1. With elastic: true the leader checkpoints every ckpt_every steps
+// into ckpt_dir (default: a temp dir the launcher creates), and the
+// survivors agree on the shrunk world, roll back to the last checkpoint,
+// and finish the full step budget without the dead rank.
 //
 // With regrow: true (requires elastic) the launcher relaunches the killed
 // rank's process once it exits: the fresh process rejoins through rank 0's
@@ -46,7 +47,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -58,7 +58,6 @@ import (
 	"syscall"
 	"time"
 
-	"dnnperf/internal/horovod"
 	"dnnperf/internal/job"
 	"dnnperf/internal/mpi"
 	"dnnperf/internal/telemetry"
@@ -79,7 +78,7 @@ func main() {
 	var (
 		jobFile = flag.String("job", "", "job spec YAML/JSON (internal/job schema, same as dnnsched workload entries); required")
 
-		metricsPath = flag.String("metrics", "", "write merged per-rank metrics JSON here (gathered to rank 0; elastic: the final leader's local metrics)")
+		metricsPath = flag.String("metrics", "", "write merged per-rank metrics JSON here (every rank, gathered to rank 0, when the run ends clean; after a recovery, the final leader's local metrics)")
 		tracePath   = flag.String("trace", "", "write a Chrome trace-event JSON timeline here (all ranks merged, pid = rank)")
 
 		profileMode = flag.String("profile", "", "capture a per-rank Go profile (cpu or heap); gathered to rank 0 under -profile_dir")
@@ -140,10 +139,6 @@ func main() {
 // process as a joiner, whose exit joins the classification.
 func launch(spec *job.Spec) (int, error) {
 	np := spec.Ranks()
-	dieRank := -1
-	if spec.DieRank != nil {
-		dieRank = *spec.DieRank
-	}
 	// Reserve a loopback port for the rank-0 rendezvous. The listener is
 	// closed only after every worker has been handed the address; rank 0
 	// re-binds it almost immediately, and its rendezvous retry loop absorbs
@@ -211,7 +206,6 @@ func launch(spec *job.Spec) (int, error) {
 	// land: the injected death arrives while the survivors are still
 	// training, which is exactly when the joiner relaunch must happen.
 	died, recovered, failed := 0, 0, 0
-	relaunched := false
 	var firstErr error
 	for expected := np; expected > 0; expected-- {
 		pe := <-exits
@@ -219,8 +213,9 @@ func launch(spec *job.Spec) (int, error) {
 		case exitClean:
 		case exitInjectedDeath:
 			died++
-			// The leader (rank 0) must survive for regrow to be possible.
-			if spec.Regrow && !relaunched && pe.rank == dieRank && pe.rank >= 1 {
+			// Only the die_rank's first incarnation exits 2 (its joiner ignores
+			// the death step). The leader must survive for regrow to be possible.
+			if spec.Regrow && pe.rank >= 1 {
 				cmd, err := spawn(pe.rank, true)
 				if err != nil {
 					failed++
@@ -229,7 +224,6 @@ func launch(spec *job.Spec) (int, error) {
 					}
 					break
 				}
-				relaunched = true
 				fmt.Fprintf(os.Stderr, "mpirun: relaunching rank %d as a joiner\n", pe.rank)
 				reap(pe.rank, cmd)
 				expected++
@@ -250,7 +244,8 @@ func launch(spec *job.Spec) (int, error) {
 		fmt.Printf("mpirun: job recovered: %d rank(s) died, %d member(s) completed\n", died, recovered)
 		return exitRecovered, nil
 	case died > 0:
-		// A rank died but nobody recovered (non-elastic crash demo).
+		// The victim was the whole job (a one-rank spec): nobody was left to
+		// fail or recover.
 		return exitInjectedDeath, nil
 	default:
 		return exitClean, nil
@@ -279,8 +274,7 @@ type workerConfig struct {
 func worker(rankStr string, cfg workerConfig) int {
 	code, err := runWorker(rankStr, cfg)
 	if err != nil {
-		var pe *mpi.PeerError
-		if errors.As(err, &pe) {
+		if pe, ok := mpi.AsPeerError(err); ok {
 			fmt.Fprintf(os.Stderr, "mpirun worker %s: peer failure (rank %d, op %s): %v\n", rankStr, pe.Rank, pe.Op, err)
 		} else {
 			fmt.Fprintf(os.Stderr, "mpirun worker %s: %v\n", rankStr, err)
@@ -296,7 +290,6 @@ func runWorker(rankStr string, cfg workerConfig) (int, error) {
 	}
 	root := os.Getenv("DNNPERF_ROOT")
 	spec := cfg.spec
-	size := spec.Ranks()
 
 	// One registry and tracer span every layer of this rank: the transport
 	// (via Instrument), the communicator's algorithm counters, the Horovod
@@ -310,8 +303,7 @@ func runWorker(rankStr string, cfg workerConfig) (int, error) {
 	}
 	tracer := telemetry.NewTracer()
 	tracer.SetPID(rank)
-	fr := telemetry.NewFlightRecorder(0)
-	tracer.SetFlightRecorder(fr, cfg.trace == "" && !cfg.timeline)
+	tracer.SetFlightRecorder(telemetry.NewFlightRecorder(0), cfg.trace == "" && !cfg.timeline)
 
 	// Abnormal-exit flight-recorder flushes: a panic or a termination signal
 	// leaves the last spans on disk before the process goes away.
@@ -348,7 +340,7 @@ func runWorker(rankStr string, cfg workerConfig) (int, error) {
 	if cfg.joiner {
 		dial = mpi.RejoinTCP
 	}
-	raw, err := dial(rank, size, root, "127.0.0.1:0", mpi.TCPOptions{
+	raw, err := dial(rank, spec.Ranks(), root, "127.0.0.1:0", mpi.TCPOptions{
 		RecvTimeout: spec.RecvTimeout.D(),
 		Telemetry:   reg,
 	})
@@ -371,89 +363,92 @@ func runWorker(rankStr string, cfg workerConfig) (int, error) {
 	}
 	defer live.shutdown()
 
-	if spec.Elastic {
-		return elasticWorker(comm, rank, size, cfg, reg, tracer, live)
-	}
-
-	engCfg := spec.EngineConfig()
-	engCfg.Telemetry = reg
-	engCfg.Tracer = tracer
-	engCfg.Timeline = cfg.timeline
-	eng := horovod.NewEngine(comm, engCfg)
-
-	newModel, newOpt, newGen := spec.Factories()
-	tr, err := train.New(train.Config{Model: newModel(), IntraThreads: spec.IntraThreads,
-		Optimizer: newOpt(size), Engine: eng, Rank: rank,
-		Telemetry: reg, Tracer: tracer})
+	// One path for every spec: the supervisor is the rank loop, and elastic,
+	// die_rank and the recovery budget are data in the config it renders.
+	scfg := spec.SupervisorConfig(comm)
+	scfg.Engine.Telemetry = reg
+	scfg.Engine.Tracer = tracer
+	scfg.Engine.Timeline = cfg.timeline
+	scfg.Telemetry = reg
+	scfg.Tracer = tracer
+	scfg.Health = live.health
+	scfg.Joiner = cfg.joiner
+	res, err := train.Supervise(scfg)
 	if err != nil {
+		live.health.Set(telemetry.HealthFailed, "error", err.Error())
+		writeTruncatedTelemetry(rank, reg, tracer, cfg)
 		return exitFailure, err
 	}
-	defer tr.Close()
-
-	gen, err := newGen(rank, size, 0)
-	if err != nil {
-		return exitFailure, err
+	if res.Outcome == train.OutcomeKilled {
+		// Still an abnormal exit for the telemetry files: leave an honestly
+		// marked partial export (a surviving leader overwrites it later).
+		fmt.Fprintf(os.Stderr, "rank %d: aborted transport after step %d (crash demo)\n", rank, res.FinalStep)
+		writeTruncatedTelemetry(rank, reg, tracer, cfg)
+		return exitInjectedDeath, nil
 	}
+	live.health.Set(telemetry.HealthDone,
+		"outcome", res.Outcome.String(), "final_step", res.FinalStep, "world", res.WorldSize)
 
-	// Crash demo: the doomed rank runs a few steps, then tears its
-	// transport down abruptly (no goodbye frame), modeling a killed
-	// process. Survivors observe Recv deadline expiry as typed PeerErrors.
-	live.health.Set(telemetry.HealthOK, "world", size)
-
-	if spec.DieRank != nil && *spec.DieRank == rank {
-		die := int(spec.DieStep)
-		if _, err := tr.Run(gen, die); err != nil {
-			live.health.Set(telemetry.HealthFailed, "error", err.Error())
+	// After a shrink the survivor set is renumbered, so the final leader —
+	// the rank that reports for the job — may be any original rank.
+	leader := res.Rank == 0
+	if res.Outcome == train.OutcomeClean {
+		// Clean means the original world, and the supervisor has shut its
+		// engine down, so the communicator is free for the closing
+		// collectives: gather profiles, then every rank's metrics and trace,
+		// to rank 0 before the communicator goes away.
+		if prof != nil {
+			if err := prof.gather(comm, rank, cfg.profileDir); err != nil {
+				fmt.Fprintf(os.Stderr, "rank %d: profile gather: %v\n", rank, err)
+			}
+		}
+		if err := exportTelemetry(comm, rank, reg, tracer, cfg); err != nil {
 			writeTruncatedTelemetry(rank, reg, tracer, cfg)
 			return exitFailure, err
 		}
-		fmt.Fprintf(os.Stderr, "rank %d: aborting transport after step %d (crash demo)\n", rank, die)
-		// The injected death is still an abnormal exit for the telemetry
-		// files: leave an honestly-marked partial export, not nothing.
-		writeTruncatedTelemetry(rank, reg, tracer, cfg)
-		comm.Abort()
-		return exitInjectedDeath, nil
-	}
-
-	stats, err := tr.Run(gen, spec.Steps)
-	if err != nil {
-		eng.Shutdown()
-		live.health.Set(telemetry.HealthFailed, "error", err.Error())
-		writeTruncatedTelemetry(rank, reg, tracer, cfg)
-		return exitFailure, err
-	}
-	if err := eng.Shutdown(); err != nil {
-		live.health.Set(telemetry.HealthFailed, "error", err.Error())
-		writeTruncatedTelemetry(rank, reg, tracer, cfg)
-		return exitFailure, err
-	}
-	live.health.Set(telemetry.HealthDone, "steps", spec.Steps)
-	// The engine is down, so the communicator is free for the closing
-	// collectives: gather profiles, then every rank's metrics and trace, to
-	// rank 0 before the communicator goes away.
-	if prof != nil {
-		if err := prof.gather(comm, rank, cfg.profileDir); err != nil {
-			fmt.Fprintf(os.Stderr, "rank %d: profile gather: %v\n", rank, err)
+	} else if leader {
+		// The original communicator is stale after a shrink, so no job-wide
+		// gather: the final leader exports its local view.
+		snaps, events := localTelemetry(rank, reg, tracer)
+		if err := writeTelemetry(cfg, snaps, events, false); err != nil {
+			return exitFailure, err
 		}
 	}
-	if err := exportTelemetry(comm, rank, reg, tracer, cfg); err != nil {
-		writeTruncatedTelemetry(rank, reg, tracer, cfg)
-		return exitFailure, err
+	if leader {
+		printSummary(spec, root, res, ft.Stats())
 	}
-	if rank == 0 {
-		s := eng.Stats()
-		last := stats[len(stats)-1]
-		fmt.Printf("job: %d ranks x batch %d, %d steps over TCP (%s)\n", size, spec.Batch, spec.Steps, root)
-		fmt.Printf("rank 0: final loss %.4f, per-rank %.1f img/s, aggregate ~%.1f img/s\n",
-			last.Loss, train.Throughput(stats), float64(size)*train.Throughput(stats))
-		fmt.Printf("horovod: %d framework tensors -> %d fused allreduces (%d cycles, %.1f KiB fused, max %d tensors/fusion)\n",
-			s.FrameworkRequests, s.EngineAllreduces, s.Cycles, float64(s.FusedBytes)/1024, s.MaxFusedTensors)
-		if fs := ft.Stats(); fs.Dropped+fs.Delayed+fs.Duplicated > 0 {
-			fmt.Printf("faults: %d sent, %d dropped, %d delayed, %d duplicated (seed %d)\n",
-				fs.Sent, fs.Dropped, fs.Delayed, fs.Duplicated, spec.Seed)
-		}
+	if res.Outcome == train.OutcomeRecovered {
+		return exitRecovered, nil
 	}
 	return exitClean, nil
+}
+
+// printSummary is the final leader's report for the job.
+func printSummary(spec *job.Spec, root string, res *train.SupervisorResult, fs mpi.FaultStats) {
+	fmt.Printf("job: %d ranks x batch %d, %d steps over TCP (%s), outcome %s\n",
+		spec.Ranks(), spec.Batch, spec.Steps, root, res.Outcome)
+	for _, ev := range res.Recoveries {
+		fmt.Printf("recovery: world %d -> %d (lost ranks %v), rolled back to step %d, %.0f ms\n",
+			ev.OldSize, ev.NewSize, ev.FailedRanks, ev.ResumeStep,
+			float64(ev.Latency)/float64(time.Millisecond))
+	}
+	for _, rg := range res.Regrows {
+		fmt.Printf("regrow: world %d -> %d (readmitted ranks %v), resumed at step %d, %.0f ms\n",
+			rg.OldSize, rg.NewSize, rg.Joined, rg.ResumeStep,
+			float64(rg.Latency)/float64(time.Millisecond))
+	}
+	if n := len(res.Steps); n > 0 { // none when a checkpoint already held the whole budget
+		tput := train.Throughput(res.Steps)
+		fmt.Printf("final: step %d, loss %.4f, per-rank %.1f img/s, aggregate ~%.1f img/s on %d rank(s)\n",
+			res.FinalStep, res.Steps[n-1].Loss, tput, float64(res.WorldSize)*tput, res.WorldSize)
+	}
+	s := res.EngineStats
+	fmt.Printf("horovod: %d framework tensors -> %d fused allreduces (%d cycles, %.1f KiB fused, max %d tensors/fusion, %d restarts)\n",
+		s.FrameworkRequests, s.EngineAllreduces, s.Cycles, float64(s.FusedBytes)/1024, s.MaxFusedTensors, s.Restarts)
+	if fs.Dropped+fs.Delayed+fs.Duplicated > 0 {
+		fmt.Printf("faults: %d sent, %d dropped, %d delayed, %d duplicated (seed %d)\n",
+			fs.Sent, fs.Dropped, fs.Delayed, fs.Duplicated, spec.Seed)
+	}
 }
 
 // writeTelemetry is the one write step behind the three exports below: the
@@ -525,14 +520,6 @@ func exportTelemetry(comm *mpi.Comm, rank int, reg *telemetry.Registry, tracer *
 			events = append(events, b.Events...)
 		}
 	}
-	return writeTelemetry(cfg, snaps, events, false)
-}
-
-// writeLocalTelemetry writes one rank's own metrics and trace without a
-// gather — the elastic path, where the original communicator may be stale
-// after a shrink, so only the final leader exports its local view.
-func writeLocalTelemetry(rank int, reg *telemetry.Registry, tracer *telemetry.Tracer, cfg workerConfig) error {
-	snaps, events := localTelemetry(rank, reg, tracer)
 	return writeTelemetry(cfg, snaps, events, false)
 }
 
@@ -658,76 +645,4 @@ func writeFileWith(path string, write func(*os.File) error) error {
 		return err
 	}
 	return f.Close()
-}
-
-// elasticWorker runs the supervised loop; the doomed rank (if this is it)
-// instead trains unsupervised until its death step and aborts. The
-// model/optimizer/generator factories and checkpoint settings all come from
-// the job spec, so this path is the same code dnnsched's backends run.
-// Telemetry is exported by the final leader only, from its local registry:
-// after a shrink the original communicator is stale, so no job-wide gather
-// runs.
-func elasticWorker(comm *mpi.Comm, rank, size int, cfg workerConfig, reg *telemetry.Registry, tracer *telemetry.Tracer, live *liveState) (int, error) {
-	spec := cfg.spec
-	if spec.DieRank != nil && *spec.DieRank == rank && !cfg.joiner {
-		// The doomed rank: RunVictim joins the survivors' bootstrap restore
-		// broadcast, trains to the death step, and aborts the transport. (A
-		// relaunched joiner carries the same flags, so the death must not
-		// re-fire on it.) It trains under the worker's tracer, so the
-		// flight-recorder dump below holds its final spans.
-		err := spec.RunVictim(comm, spec.DieStep, tracer, nil)
-		// Partial export either way; a surviving leader overwrites it with
-		// the complete document when the job finishes.
-		writeTruncatedTelemetry(rank, reg, tracer, cfg)
-		if err != nil {
-			return exitFailure, err
-		}
-		fmt.Fprintf(os.Stderr, "rank %d: aborting transport after step %d (elastic crash demo)\n", rank, spec.DieStep)
-		return exitInjectedDeath, nil
-	}
-
-	scfg := spec.SupervisorConfig(comm)
-	scfg.Engine.Telemetry = reg
-	scfg.Engine.Tracer = tracer
-	scfg.Engine.Timeline = cfg.timeline
-	scfg.Telemetry = reg
-	scfg.Tracer = tracer
-	scfg.Health = live.health
-	scfg.Joiner = cfg.joiner
-	scfg.RejoinTimeout = spec.RegrowWait.D()
-	res, err := train.Supervise(scfg)
-	if err != nil {
-		live.health.Set(telemetry.HealthFailed, "error", err.Error())
-		writeTruncatedTelemetry(rank, reg, tracer, cfg)
-		return exitFailure, err
-	}
-	live.health.Set(telemetry.HealthDone,
-		"outcome", res.Outcome.String(), "final_step", res.FinalStep, "world", res.WorldSize)
-
-	// The final leader reports for the job (after a shrink the survivor set
-	// is renumbered; its rank 0 may be any original rank).
-	if res.Rank == 0 {
-		fmt.Printf("elastic job: %d ranks x batch %d, %d steps over TCP, outcome %s\n",
-			size, spec.Batch, spec.Steps, res.Outcome)
-		for _, ev := range res.Recoveries {
-			fmt.Printf("recovery: world %d -> %d (lost ranks %v), rolled back to step %d, %.0f ms\n",
-				ev.OldSize, ev.NewSize, ev.FailedRanks, ev.ResumeStep,
-				float64(ev.Latency)/float64(time.Millisecond))
-		}
-		for _, rg := range res.Regrows {
-			fmt.Printf("regrow: world %d -> %d (readmitted ranks %v), resumed at step %d, %.0f ms\n",
-				rg.OldSize, rg.NewSize, rg.Joined, rg.ResumeStep,
-				float64(rg.Latency)/float64(time.Millisecond))
-		}
-		last := res.Steps[len(res.Steps)-1]
-		fmt.Printf("final: step %d, loss %.4f, per-rank %.1f img/s on %d survivor(s) (engine restarts: %d)\n",
-			res.FinalStep, last.Loss, train.Throughput(res.Steps), res.WorldSize, res.EngineStats.Restarts)
-		if err := writeLocalTelemetry(rank, reg, tracer, cfg); err != nil {
-			return exitFailure, err
-		}
-	}
-	if res.Outcome == train.OutcomeRecovered {
-		return exitRecovered, nil
-	}
-	return exitClean, nil
 }

@@ -45,25 +45,79 @@ func jobSpecPath(name string) string {
 	return filepath.Join("..", "..", "examples", "jobs", name)
 }
 
-// TestCleanRunMergesEveryRank: the committed 2-rank spec exits 0 and rank 0
-// writes a metrics document holding both ranks' snapshots.
+// writeSpec drops a job spec into the test's temp dir.
+func writeSpec(t *testing.T, name, yaml string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), name)
+	if err := os.WriteFile(path, []byte(yaml), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestCleanRunMergesEveryRank: a clean run exits 0 and rank 0 writes a
+// metrics document holding every rank's snapshot — the committed rigid
+// 2-rank spec and the same job marked elastic alike, because elastic selects
+// no code path: both end on an idle communicator that can run the gather.
 func TestCleanRunMergesEveryRank(t *testing.T) {
 	bin := buildMpirun(t)
-	metrics := filepath.Join(t.TempDir(), "metrics.json")
-	code, stdout, stderr := mpirun(t, bin, "-job", jobSpecPath("dp2.yaml"), "-metrics", metrics)
-	if code != exitClean {
-		t.Fatalf("exit %d, want %d\nstdout:\n%s\nstderr:\n%s", code, exitClean, stdout, stderr)
-	}
-	blob, err := os.ReadFile(metrics)
+	rigid, err := os.ReadFile(jobSpecPath("dp2.yaml"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doc telemetry.MergedMetrics
-	if err := json.Unmarshal(blob, &doc); err != nil {
-		t.Fatalf("metrics document: %v", err)
+	for name, spec := range map[string]string{
+		"rigid":   jobSpecPath("dp2.yaml"),
+		"elastic": writeSpec(t, "dp2_elastic.yaml", string(rigid)+"elastic: true\n"),
+	} {
+		t.Run(name, func(t *testing.T) {
+			metrics := filepath.Join(t.TempDir(), "metrics.json")
+			code, stdout, stderr := mpirun(t, bin, "-job", spec, "-metrics", metrics)
+			if code != exitClean {
+				t.Fatalf("exit %d, want %d\nstdout:\n%s\nstderr:\n%s", code, exitClean, stdout, stderr)
+			}
+			blob, err := os.ReadFile(metrics)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var doc telemetry.MergedMetrics
+			if err := json.Unmarshal(blob, &doc); err != nil {
+				t.Fatalf("metrics document: %v", err)
+			}
+			if len(doc.Ranks) != 2 || doc.Truncated {
+				t.Fatalf("metrics document lists %d rank(s), truncated=%t; want 2 complete", len(doc.Ranks), doc.Truncated)
+			}
+		})
 	}
-	if len(doc.Ranks) != 2 || doc.Truncated {
-		t.Fatalf("metrics document lists %d rank(s), truncated=%t; want 2 complete", len(doc.Ranks), doc.Truncated)
+}
+
+// TestRigidDieRankFailsTyped: without elastic there is no recovery budget,
+// under this launcher like every other — the victim dies its injected death
+// (exit 2, so the launcher does not report it), and each survivor resolves
+// to a typed peer failure within the recv deadline and exits 1 — blaming the
+// peer it was waiting on, which is the victim or a survivor that gave up
+// first. No recovery, no hang.
+func TestRigidDieRankFailsTyped(t *testing.T) {
+	bin := buildMpirun(t)
+	spec := writeSpec(t, "rigid_crash.yaml",
+		"name: rigid_crash\nppn: 3\nsteps: 6\nrecv_timeout: 1s\nintra_threads: 2\ndie_rank: 2\ndie_step: 2\n")
+	code, stdout, stderr := mpirun(t, bin, "-job", spec)
+	if code != exitFailure {
+		t.Fatalf("exit %d, want %d\nstdout:\n%s\nstderr:\n%s", code, exitFailure, stdout, stderr)
+	}
+	for _, want := range []string{
+		"rank 2: aborted transport after step 2",
+		"mpirun worker 0: peer failure (rank ",
+		"mpirun worker 1: peer failure (rank ",
+	} {
+		if !strings.Contains(stderr, want) {
+			t.Errorf("stderr lacks %q:\n%s", want, stderr)
+		}
+	}
+	if strings.Contains(stderr, "mpirun worker 2:") || strings.Contains(stderr, "mpirun: rank 2:") {
+		t.Errorf("the victim's injected death was reported as a failure:\n%s", stderr)
+	}
+	if strings.Contains(stdout, "outcome") {
+		t.Errorf("a rigid job that lost a rank printed a job summary:\n%s", stdout)
 	}
 }
 

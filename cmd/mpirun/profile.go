@@ -51,7 +51,7 @@ func (p *profiler) stop() {
 
 // gather is a collective: every rank contributes its profile bytes and rank
 // 0 writes dir/rank<r>.<mode>.pprof per rank. Call only where every live
-// rank reaches the same point (the clean non-elastic path).
+// rank reaches the same point (a run that ended clean).
 func (p *profiler) gather(comm *mpi.Comm, rank int, dir string) error {
 	p.stop()
 	parts, err := comm.AllgatherBytes(p.buf.Bytes())

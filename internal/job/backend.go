@@ -87,20 +87,16 @@ type Backend interface {
 }
 
 // runLive is the path both real backends share: stage the spec's gang over
-// transport, run it through the Fleet with the DieRank crash demo as the
-// kill set, and wire the preemption boundary and the caller's observer into
-// every rank.
+// transport, run it through the Fleet (the spec's DieRank crash demo rides
+// in the doomed rank's rendered config), and wire the preemption boundary
+// and the caller's observer into every rank.
 func runLive(rc *RunContext, transport string) (*Result, error) {
 	spec := &rc.Spec
 	fleet, err := NewFleet(spec, transport)
 	if err != nil {
 		return nil, err
 	}
-	kills := map[int]int64{}
-	if spec.DieRank != nil {
-		kills[*spec.DieRank] = spec.DieStep
-	}
-	res, errs := fleet.Run(kills, func(r int, cfg *train.SupervisorConfig) {
+	res, errs := fleet.Run(nil, func(r int, cfg *train.SupervisorConfig) {
 		cfg.OnStep = func(step int64, st train.StepStats) {
 			rc.recordStep(step)
 			if rc.OnStep != nil {
@@ -110,7 +106,7 @@ func runLive(rc *RunContext, transport string) (*Result, error) {
 		cfg.HaltAt = rc.haltAt.Load
 	})
 	for r, err := range errs {
-		if _, killed := kills[r]; !killed && err != nil {
+		if err != nil {
 			return res, fmt.Errorf("job %s: rank %d: %w", spec.Name, r, err)
 		}
 	}

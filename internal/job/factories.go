@@ -52,10 +52,16 @@ func (s *Spec) EngineConfig() horovod.Config {
 
 // SupervisorConfig renders the spec into one rank's supervised-run config
 // bound to comm. Callers layer on their own observability (Telemetry,
-// Tracer, Health, OnStep, HaltAt) and the Joiner/RejoinTimeout admission
-// knobs — everything the spec schema owns is filled here.
+// Tracer, Health, OnStep, HaltAt) and the Joiner mark — everything the spec
+// schema owns is filled here: regrow_wait bounds both sides of a regrow (the
+// finished ranks' linger and a parked or restarted rank's admission loop),
+// and the die_rank crash demo is the doomed rank's death step.
 func (s *Spec) SupervisorConfig(comm *mpi.Comm) train.SupervisorConfig {
 	newModel, newOpt, newGen := s.Factories()
+	var dieAt int64
+	if s.DieRank != nil && *s.DieRank == comm.Rank() {
+		dieAt = s.DieStep
+	}
 	return train.SupervisorConfig{
 		Comm:          comm,
 		Engine:        s.EngineConfig(),
@@ -69,6 +75,8 @@ func (s *Spec) SupervisorConfig(comm *mpi.Comm) train.SupervisorConfig {
 		CkptEvery:     s.CkptEvery,
 		MaxRecoveries: s.MaxRecoveries,
 		RegrowWait:    s.RegrowWait.D(),
+		RejoinTimeout: s.RegrowWait.D(),
+		DieAt:         dieAt,
 	}
 }
 
@@ -111,51 +119,4 @@ func (s *Spec) FaultConfig() mpi.FaultConfig {
 		Delay:     s.Faults.Delay.D(),
 		DupProb:   s.Faults.DupProb,
 	}
-}
-
-// RunVictim is the doomed-rank path every crash demo shares: join the
-// supervised ranks' bootstrap restore broadcast (which runs exactly when a
-// checkpoint directory is configured), train unsupervised to killStep firing
-// the observer hook, then abort the transport without a goodbye — the crash
-// the survivors must absorb. tracer, if set, spans the doomed rank's engine
-// and training loop — typically feeding a flight recorder, so the crash
-// leaves its final spans behind for a post-mortem.
-func (s *Spec) RunVictim(comm *mpi.Comm, killStep int64, tracer *telemetry.Tracer, onStep func(step int64, st train.StepStats)) error {
-	if s.CkptDir != "" {
-		if _, err := comm.BcastBytes(nil, 0); err != nil {
-			return err
-		}
-	}
-	newModel, newOpt, newGen := s.Factories()
-	engCfg := s.EngineConfig()
-	engCfg.Tracer = tracer
-	eng := horovod.NewEngine(comm, engCfg)
-	tr, err := train.New(train.Config{
-		Model:        newModel(),
-		IntraThreads: s.IntraThreads,
-		InterThreads: s.InterThreads,
-		Optimizer:    newOpt(comm.Size()),
-		Engine:       eng,
-		Rank:         comm.Rank(),
-		Tracer:       tracer,
-	})
-	if err != nil {
-		return err
-	}
-	defer tr.Close()
-	gen, err := newGen(comm.Rank(), comm.Size(), 0)
-	if err != nil {
-		return err
-	}
-	for step := int64(1); step <= killStep; step++ {
-		st, serr := tr.Step(gen())
-		if serr != nil {
-			return serr
-		}
-		if onStep != nil {
-			onStep(step, st)
-		}
-	}
-	comm.Abort()
-	return nil
 }

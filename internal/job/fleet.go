@@ -11,9 +11,9 @@ import (
 
 // Fleet is one staged live gang and the only runner of its ranks: NewFleet
 // builds raw world → per-rank mpi.FaultTransport → tuned *mpi.Comm, Run fans
-// the ranks out (doomed ranks through RunVictim, everyone else through
-// train.Supervise), and Restart relaunches a killed rank as a joiner in its
-// old slot. The job backends, the scenario harness and the experiment runner
+// the ranks out through train.Supervise (a doomed rank is the same loop with
+// a death step in its config), and Restart relaunches a killed rank as a
+// joiner in its old slot. The job backends, the scenario harness and the experiment runner
 // all launch through it. A Fleet is single-use: one staging, one Run.
 type Fleet struct {
 	spec *Spec
@@ -124,19 +124,19 @@ func (f *Fleet) Rejoin(rank int) (*mpi.Comm, error) {
 	return comm, nil
 }
 
-// Run is the one rank fan-out: a goroutine per slot, where a rank in kills
-// trains to its step and aborts its transport (RunVictim) and every other
-// rank runs train.Supervise on the config the spec renders. decorate, called
-// once per incarnation before it starts (victims and Restart joiners
-// included, the latter with cfg.Joiner already set), layers the caller's
-// OnStep, Telemetry, Tracer, HaltAt and RejoinTimeout on top; a victim uses
-// its Tracer and OnStep. Run returns when every rank and joiner has.
+// Run is the one rank fan-out: a goroutine per slot, each running
+// train.Supervise on the config the spec renders; a rank in kills gets that
+// step as its DieAt, and dies after completing it. decorate, called once per
+// incarnation before it starts (Restart joiners included, with cfg.Joiner
+// already set), layers the caller's OnStep, Telemetry, Tracer and HaltAt on
+// top. Run returns when every rank and joiner has, and
+// every communicator is closed by then.
 //
-// The per-slot errors come back verbatim. Result.PerRank[r] is non-nil
-// exactly for the survivors — slots whose latest incarnation ended
-// supervised without error, so a readmitted joiner speaks for a killed
-// rank — and the lowest of them speaks for the job: its view fills the
-// Result summary, which stays zero when nobody survived.
+// The per-slot errors come back verbatim; a killed rank's is nil.
+// Result.PerRank[r] is non-nil exactly for the survivors — slots whose
+// latest incarnation ran to the end without error, so a readmitted joiner
+// speaks for a killed rank — and the lowest of them speaks for the job: its
+// view fills the Result summary, which stays zero when nobody survived.
 func (f *Fleet) Run(kills map[int]int64, decorate func(rank int, cfg *train.SupervisorConfig)) (*Result, []error) {
 	n := len(f.comms)
 	f.decorate = decorate
@@ -149,24 +149,22 @@ func (f *Fleet) Run(kills map[int]int64, decorate func(rank int, cfg *train.Supe
 	}
 	for r := 0; r < n; r++ {
 		cfg := f.spec.SupervisorConfig(f.comms[r])
+		if step, doomed := kills[r]; doomed {
+			cfg.DieAt = step
+		}
 		decorate(r, &cfg)
-		killStep, doomed := kills[r]
 		f.wg.Add(1)
 		go func(r int) {
 			defer f.wg.Done()
 			defer close(f.exited[r])
-			if doomed {
-				f.errs[r] = f.spec.RunVictim(cfg.Comm, killStep, cfg.Tracer, cfg.OnStep)
-				return
-			}
-			f.results[r], f.errs[r] = train.Supervise(cfg)
+			f.supervise(r, cfg)
 		}(r)
 	}
 	f.wg.Wait()
 
 	res := &Result{PerRank: f.results}
-	for r, err := range f.errs {
-		if err != nil {
+	for r, pr := range f.results {
+		if f.errs[r] != nil || pr.Outcome == train.OutcomeKilled {
 			f.results[r] = nil
 		}
 	}
@@ -207,7 +205,16 @@ func (f *Fleet) Restart(rank int) {
 			cfg := f.spec.SupervisorConfig(comm)
 			cfg.Joiner = true
 			f.decorate(rank, &cfg)
-			f.results[rank], f.errs[rank] = train.Supervise(cfg)
+			f.supervise(rank, cfg)
 		}()
 	})
+}
+
+// supervise is the one goroutine body: every incarnation of every slot runs
+// train.Supervise on its decorated config, then closes its communicator.
+func (f *Fleet) supervise(rank int, cfg train.SupervisorConfig) {
+	f.results[rank], f.errs[rank] = train.Supervise(cfg)
+	// The run's outcome is already recorded, and an aborted endpoint only
+	// reports that it was closed before: nothing to do with this error.
+	_ = cfg.Comm.Close()
 }

@@ -14,11 +14,20 @@ import (
 // its budget — with every rank agreeing on the final weights CRC, and that
 // CRC identical to an uninterrupted control run of the same spec. Bit-exact
 // or bust.
+//
+// The job pins allreduce_alg to recursive doubling, whose pairwise sums do
+// not depend on where an element sits in the fused buffer. Under auto/ring
+// two *undisturbed* 4-rank runs already differ in the last bits: which
+// gradients fuse together is decided by negotiation timing, and the ring's
+// summation order depends on the chunk an element lands in (ROADMAP item 8;
+// the constant fingerprint hid this until PR 14). The round trip itself —
+// halt, checkpoint, park, restore, re-shard — is what this test holds exact.
 func TestRealPreemptionRoundTrip(t *testing.T) {
 	low := Spec{
 		Name: "low", Tenant: "batch", Nodes: 2, PPN: 2,
 		Steps: 60, Elastic: true, CkptEvery: 2,
-		CycleTime: Duration(200 * time.Microsecond),
+		CycleTime:    Duration(200 * time.Microsecond),
+		AllreduceAlg: "recursive_doubling",
 	}
 	high := Spec{
 		Name: "high", Tenant: "prod", Priority: 5, Nodes: 2, PPN: 2,

@@ -3,11 +3,15 @@
 // scenario harness), one Handle state machine tracking a job from submission
 // to completion, and one Backend interface with three implementations —
 // inproc, tcp (the same over real loopback sockets), and sim (the trainsim
-// analytical simulator). Every live gang in the tree is staged and run by
-// the Fleet in fleet.go — the single rank fan-out (victims, supervised
-// ranks, restarted joiners, and which survivor speaks for the job) that the
-// two real backends, the scenario harness and the experiment runner call;
-// mpirun's worker processes share its per-rank staging step, Spec.WrapComm.
+// analytical simulator). Every rank of every real job runs train.Supervise,
+// the tree's only rank loop; what a spec says — elastic, die_rank, the
+// recovery budget — reaches it as data in the config Spec.SupervisorConfig
+// renders, never as a choice of code path. Every live in-process gang is
+// staged and run by the Fleet in fleet.go — the single rank fan-out
+// (supervised ranks, restarted joiners, and which survivor speaks for the
+// job) that the two real backends, the scenario harness and the experiment
+// runner call; mpirun's worker processes share its per-rank staging step,
+// Spec.WrapComm, and the same rendered config.
 // The gang scheduler in scheduler.go drives thousands of simulated jobs and
 // real small jobs through the identical policy code, with preemption
 // implemented as a cooperative elastic halt + checkpoint + later regrow.
@@ -79,8 +83,10 @@ type Spec struct {
 	// Seed drives data sharding and simulator jitter (default 42).
 	Seed int64 `json:"seed,omitempty"`
 
-	// Elastic marks the job as surviving rank failure and eligible for
-	// preemption-as-shrink; it defaults CkptEvery to 2.
+	// Elastic is data, not a code path (every job runs train.Supervise). It
+	// sets the recovery budget (MaxRecoveries, default 2; a rigid job has none
+	// and fails with a typed *mpi.PeerError on the first rank loss), the
+	// CkptEvery default of 2, and eligibility for dnnsched's preemption.
 	Elastic bool `json:"elastic,omitempty"`
 	// CkptDir/CkptEvery configure checkpointing; a preempted job resumes
 	// from the newest checkpoint in CkptDir. The scheduler assigns a
@@ -92,7 +98,7 @@ type Spec struct {
 	// re-places parked jobs itself and ignores it).
 	Regrow bool `json:"regrow,omitempty"`
 	// RegrowWait keeps finished ranks lingering for late rejoiners;
-	// MaxRecoveries bounds recoveries (0 = the supervisor default of 2,
+	// MaxRecoveries is an elastic job's recovery budget (default 2,
 	// -1 = unlimited).
 	RegrowWait    Duration `json:"regrow_wait,omitempty"`
 	MaxRecoveries int      `json:"max_recoveries,omitempty"`
@@ -153,6 +159,9 @@ func (s *Spec) WithDefaults() {
 	if s.Elastic && s.CkptEvery <= 0 {
 		s.CkptEvery = 2
 	}
+	if s.Elastic && s.MaxRecoveries == 0 {
+		s.MaxRecoveries = 2
+	}
 }
 
 // Validate applies defaults and rejects specs no backend can run.
@@ -168,6 +177,9 @@ func (s *Spec) Validate() error {
 	}
 	if s.Regrow && !s.Elastic {
 		return fmt.Errorf("job %s: regrow requires elastic", s.Name)
+	}
+	if s.MaxRecoveries != 0 && !s.Elastic {
+		return fmt.Errorf("job %s: max_recoveries requires elastic (a rigid job has no recovery budget)", s.Name)
 	}
 	if s.DieRank != nil {
 		if *s.DieRank < 0 || *s.DieRank >= s.Ranks() {

@@ -40,7 +40,7 @@ func runElastic() (*Table, error) {
 	scenarios := []scenario{
 		{name: "clean", dieRank: -1},
 		{name: "worker dies @5", dieRank: 3, dieStep: 5},
-		{name: "leader dies @3", dieRank: 0, dieStep: 3},
+		{name: "leader dies @1", dieRank: 0, dieStep: 1},
 	}
 
 	t := &Table{
@@ -100,7 +100,7 @@ func runElastic() (*Table, error) {
 	}
 
 	workerMS, _ := t.Cell("worker dies @5", 3)
-	leaderResume, _ := t.Cell("leader dies @3", 2)
+	leaderResume, _ := t.Cell("leader dies @1", 2)
 	t.AddNote("a worker death costs ~%.0fms of recovery latency and a rollback to the last checkpoint; "+
 		"losing the leader before its first save forces a restart from step %.0f — the worst case the "+
 		"checkpoint period bounds", workerMS, leaderResume)

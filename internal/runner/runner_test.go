@@ -297,7 +297,7 @@ func TestElasticShape(t *testing.T) {
 	}
 	// The leader is the only checkpoint writer and dies before any save
 	// survives it, so the survivors restart from step 0.
-	if resume, _ := tbl.Cell("leader dies @3", 2); resume != 0 {
+	if resume, _ := tbl.Cell("leader dies @1", 2); resume != 0 {
 		t.Errorf("leader-death resume step = %g, want 0", resume)
 	}
 }

@@ -327,10 +327,10 @@ func runTrain(spec *Spec, opts Options) (*outcome, error) {
 	ctl := newTrainControl(spec, js, fleet, det)
 	newModel, _, _ := js.Factories()
 
-	// kill_rank targets run doomed (train, then abort), each carrying a
-	// ring-only tracer feeding a flight recorder: the kill leaves its final
-	// spans on disk (under OutDir) instead of vanishing with the rank.
-	// Everyone else runs the supervised elastic loop; a restart_rank target
+	// Every rank runs the supervised loop. A kill_rank target's config
+	// carries its death step, and it trains under a ring-only tracer feeding
+	// a flight recorder: the kill leaves its final spans on disk (under
+	// OutDir) instead of vanishing with the rank. A restart_rank target
 	// comes back as a joiner once a survivor's step hook trips the trigger.
 	kills := map[int]int64{}
 	flight := map[int]*telemetry.FlightRecorder{}
@@ -367,11 +367,11 @@ func runTrain(spec *Spec, opts Options) (*outcome, error) {
 	res, errs := fleet.Run(kills, func(r int, cfg *train.SupervisorConfig) {
 		cfg.Telemetry = regs[r]
 		cfg.OnStep = ctl.hook(r)
-		cfg.RejoinTimeout = spec.Job.RegrowWait.D()
 		if fr := flight[r]; fr != nil && !cfg.Joiner {
 			cfg.Tracer = telemetry.NewTracer()
 			cfg.Tracer.SetPID(r)
 			cfg.Tracer.SetFlightRecorder(fr, true)
+			cfg.Engine.Tracer = cfg.Tracer
 		}
 	})
 	for r, fr := range flight {

@@ -96,8 +96,9 @@ type Job struct {
 	CycleTime Duration `json:"cycle_time,omitempty"`
 	// Elastic marks the job as expecting failures: kill/partition events
 	// should end in recovery, not in a dead run. Training always runs
-	// supervised; this flag is documentation plus the default for
-	// CkptEvery.
+	// supervised; the flag is the job.Spec one — the recovery budget (2
+	// rank losses; a rigid job fails typed on the first) and the default
+	// for CkptEvery.
 	Elastic bool `json:"elastic,omitempty"`
 	// CkptEvery is the checkpoint period in steps (default 2 for elastic
 	// jobs, 0 otherwise).

@@ -2,6 +2,7 @@ package train
 
 import (
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -43,34 +44,26 @@ func elasticConfig(comm *mpi.Comm, steps int, ckptDir string) SupervisorConfig {
 		CkptDir:      ckptDir,
 		CkptEvery:    2,
 		KeepCkpts:    -1, // these tests inspect the full checkpoint history
+		// Elastic, spelled out: the supervisor's zero value is a rigid run.
+		MaxRecoveries: 2,
 	}
 }
 
-// runDoomedRank trains dieSteps steps as a normal (unsupervised) member of
-// the job, then dies abruptly.
-func runDoomedRank(t *testing.T, comm *mpi.Comm, rank, dieSteps int) error {
+// runDoomedRank is the rank a crash test kills: a supervised member of the
+// job like any other (same checkpoint directory, so it takes part in the
+// bootstrap restore), whose config carries its death step — it completes
+// dieSteps steps, then aborts its transport without a goodbye, the crash
+// the survivors must absorb.
+func runDoomedRank(t *testing.T, comm *mpi.Comm, ckptDir string, dieSteps int) error {
 	t.Helper()
-	// Join the supervised ranks' bootstrap restore broadcast (the checkpoint
-	// directory is empty, so the blob is empty: fresh start).
-	if _, err := comm.BcastBytes(nil, 0); err != nil {
-		return err
+	cfg := elasticConfig(comm, dieSteps+1, ckptDir)
+	cfg.DieAt = int64(dieSteps)
+	res, err := Supervise(cfg)
+	if err == nil && (res.Outcome != OutcomeKilled || res.FinalStep != int64(dieSteps)) {
+		t.Errorf("doomed rank %d: outcome %v at step %d, want killed at %d",
+			comm.Rank(), res.Outcome, res.FinalStep, dieSteps)
 	}
-	eng := horovod.NewEngine(comm, horovod.Config{CycleTime: 300 * time.Microsecond, Average: true})
-	newModel, newOpt, newGen := elasticFixtures(4)
-	tr, err := New(Config{Model: newModel(), Optimizer: newOpt(comm.Size()), Engine: eng, Rank: rank})
-	if err != nil {
-		return err
-	}
-	defer tr.Close()
-	gen, err := newGen(rank, comm.Size(), 0)
-	if err != nil {
-		return err
-	}
-	if _, err := tr.Run(gen, dieSteps); err != nil {
-		return err
-	}
-	comm.Abort() // die without a goodbye: the crash the survivors must absorb
-	return nil
+	return err
 }
 
 // TestSuperviseCleanRun: no failures — the supervised loop is just a
@@ -83,6 +76,7 @@ func TestSuperviseCleanRun(t *testing.T) {
 	dir := t.TempDir()
 	const steps = 6
 
+	baseline := runtime.NumGoroutine()
 	var wg sync.WaitGroup
 	results := make([]*SupervisorResult, 2)
 	errs := make([]error, 2)
@@ -94,6 +88,14 @@ func TestSuperviseCleanRun(t *testing.T) {
 		}(r)
 	}
 	wg.Wait()
+	// The supervisor owns its engine: once Supervise has returned, the
+	// engine loops and executor pools it started are gone.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the run, %d before it — Supervise leaked", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 	for r := 0; r < 2; r++ {
 		if errs[r] != nil {
 			t.Fatalf("rank %d: %v", r, errs[r])
@@ -152,7 +154,7 @@ func TestSuperviseRecoversFromRankDeath(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		errs[2] = runDoomedRank(t, w.Comm(2), 2, dieAfter)
+		errs[2] = runDoomedRank(t, w.Comm(2), dir, dieAfter)
 	}()
 	wg.Wait()
 
@@ -224,7 +226,7 @@ func TestRecoveredTrajectoryMatchesCheckpointRun(t *testing.T) {
 	}()
 	go func() {
 		defer wg.Done()
-		errs[1] = runDoomedRank(t, w.Comm(1), 1, dieAfter)
+		errs[1] = runDoomedRank(t, w.Comm(1), dir, dieAfter)
 	}()
 	wg.Wait()
 	if errs[1] != nil {
@@ -314,7 +316,7 @@ func TestElasticEndToEndTCP(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		errs[2] = runDoomedRank(t, comms[2], 2, dieAfter)
+		errs[2] = runDoomedRank(t, comms[2], dir, dieAfter)
 	}()
 	wg.Wait()
 
@@ -336,6 +338,72 @@ func TestElasticEndToEndTCP(t *testing.T) {
 		ev := res.Recoveries[0]
 		if ev.OldSize != 3 || ev.NewSize != 2 {
 			t.Fatalf("survivor %d: shrink %d -> %d, want 3 -> 2", r, ev.OldSize, ev.NewSize)
+		}
+	}
+}
+
+// TestSuperviseDieAtLeader: the injected death is a step of the ordinary
+// loop, not a separate one — a doomed leader completes its DieAt step like a
+// real process would have, checkpoint and OnStep included, and only then
+// aborts. The rigid survivor fails typed, and its successor would find the
+// step-2 file the dead leader wrote.
+func TestSuperviseDieAtLeader(t *testing.T) {
+	w, err := mpi.NewWorldOpts(2, mpi.WorldOptions{RecvTimeout: 250 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	const steps, dieAt = 6, 2
+
+	var wg sync.WaitGroup
+	results := make([]*SupervisorResult, 2)
+	errs := make([]error, 2)
+	var hooked []int64
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			cfg := elasticConfig(w.Comm(r), steps, dir)
+			cfg.MaxRecoveries = 0
+			if r == 0 {
+				cfg.DieAt = dieAt
+				cfg.OnStep = func(step int64, _ StepStats) { hooked = append(hooked, step) }
+			}
+			results[r], errs[r] = Supervise(cfg)
+		}(r)
+	}
+	wg.Wait()
+
+	if errs[0] != nil || results[0].Outcome != OutcomeKilled || results[0].FinalStep != dieAt {
+		t.Fatalf("victim: outcome %v at step %d, err %v; want killed at %d",
+			results[0].Outcome, results[0].FinalStep, errs[0], dieAt)
+	}
+	if len(hooked) != dieAt || hooked[dieAt-1] != dieAt {
+		t.Fatalf("victim's OnStep saw %v, want every step through %d", hooked, dieAt)
+	}
+	if st, err := LoadTrainingCheckpointFile(filepath.Join(dir, ckptFileName(dieAt)), tinyModel(13, 4)); err != nil || st.Step != dieAt {
+		t.Fatalf("the doomed leader's step-%d checkpoint: %+v, %v", dieAt, st, err)
+	}
+	if pe, ok := mpi.AsPeerError(errs[1]); !ok || pe.Rank != 0 || results[1].Outcome != OutcomeFailed {
+		t.Fatalf("rigid survivor: outcome %v, err %v; want failed with a PeerError naming rank 0", results[1].Outcome, errs[1])
+	}
+}
+
+// TestWeightsCRCDistinguishesStates: the split-brain fingerprint must move
+// when the state does. (It used to checksum payload plus trailer, which is
+// the CRC-32 residue 0x2144df1c for every state.)
+func TestWeightsCRCDistinguishesStates(t *testing.T) {
+	base := weightsCRC(tinyModel(13, 4), &Momentum{LR: 0.05, Mu: 0.9}, 4)
+	if again := weightsCRC(tinyModel(13, 4), &Momentum{LR: 0.05, Mu: 0.9}, 4); again != base {
+		t.Fatalf("equal states fingerprint differently: %08x vs %08x", base, again)
+	}
+	for name, crc := range map[string]uint32{
+		"other weights":   weightsCRC(tinyModel(14, 4), &Momentum{LR: 0.05, Mu: 0.9}, 4),
+		"other step":      weightsCRC(tinyModel(13, 4), &Momentum{LR: 0.05, Mu: 0.9}, 5),
+		"other optimizer": weightsCRC(tinyModel(13, 4), &SGD{LR: 0.05}, 4),
+	} {
+		if crc == base {
+			t.Errorf("%s: fingerprint %08x equals the base state's", name, crc)
 		}
 	}
 }

@@ -82,7 +82,7 @@ func TestSuperviseHealthTransitions(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		errs[2] = runDoomedRank(t, w.Comm(2), 2, dieAfter)
+		errs[2] = runDoomedRank(t, w.Comm(2), dir, dieAfter)
 	}()
 	wg.Wait()
 	close(done)

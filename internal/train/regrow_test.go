@@ -62,7 +62,7 @@ func TestSuperviseRegrowAfterRestart(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if derr := runDoomedRank(t, w.Comm(2), 2, dieAfter); derr != nil {
+		if derr := runDoomedRank(t, w.Comm(2), dir, dieAfter); derr != nil {
 			errs[2] = derr
 			return
 		}
@@ -247,7 +247,7 @@ func TestRegrowEndToEndTCP(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if derr := runDoomedRank(t, comms[2], 2, dieAfter); derr != nil {
+		if derr := runDoomedRank(t, comms[2], dir, dieAfter); derr != nil {
 			errs[2] = derr
 			return
 		}

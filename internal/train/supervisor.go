@@ -2,9 +2,9 @@ package train
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -64,6 +64,9 @@ const (
 	// OutcomePreempted: the run halted cooperatively at a HaltAt boundary
 	// (checkpointing first), so a later run can resume it bit-exactly.
 	OutcomePreempted
+	// OutcomeKilled: this rank completed its DieAt step and aborted its
+	// transport — the injected death its peers must absorb.
+	OutcomeKilled
 )
 
 func (o Outcome) String() string {
@@ -74,6 +77,8 @@ func (o Outcome) String() string {
 		return "recovered"
 	case OutcomePreempted:
 		return "preempted"
+	case OutcomeKilled:
+		return "killed"
 	default:
 		return "failed"
 	}
@@ -153,8 +158,9 @@ type SupervisorConfig struct {
 	// instead of parking. Meant for single-sided tests and tools; a real
 	// job that sets it can split-brain.
 	AllowMinority bool
-	// MaxRecoveries bounds how many rank failures a run survives
-	// (0 = default 2, negative = unlimited).
+	// MaxRecoveries bounds how many rank failures a run survives: at most n
+	// for n >= 0 — so the zero value is a rigid run that fails with the typed
+	// *mpi.PeerError on the first rank loss — and unlimited when negative.
 	MaxRecoveries int
 	// ShrinkRetries bounds survivor-agreement attempts per recovery
 	// (default 3).
@@ -195,6 +201,12 @@ type SupervisorConfig struct {
 	// preempt-as-shrink entry point: halt + checkpoint now, regrow later
 	// by re-running with the same CkptDir.
 	HaltAt func() int64
+	// DieAt, if positive, is the injected death: after completing that
+	// global step — checkpoint and OnStep included, exactly as a real process
+	// would have — the rank aborts its transport without a goodbye and the
+	// run ends OutcomeKilled. Ignored on a Joiner: a relaunched process
+	// carries its predecessor's config, and the death must not re-fire.
+	DieAt int64
 }
 
 func (c SupervisorConfig) withDefaults() (SupervisorConfig, error) {
@@ -206,9 +218,6 @@ func (c SupervisorConfig) withDefaults() (SupervisorConfig, error) {
 	}
 	if c.Steps < 1 {
 		return c, fmt.Errorf("train: supervisor steps %d < 1", c.Steps)
-	}
-	if c.MaxRecoveries == 0 {
-		c.MaxRecoveries = 2
 	}
 	if c.ShrinkRetries <= 0 {
 		c.ShrinkRetries = 3
@@ -258,15 +267,19 @@ type incarnation struct {
 	gen     func() data.Batch
 }
 
-func (in *incarnation) close() {
-	if in.trainer != nil {
-		in.trainer.Close()
-	}
-}
+func (in *incarnation) close() { in.trainer.Close() }
 
-// Supervise runs the elastic training loop on this rank. All ranks of the
-// job must call it; the returned result reflects this rank's final view.
-// The error is non-nil only for OutcomeFailed.
+// Supervise runs one rank of a job; it is the tree's only rank loop. All
+// ranks of the job must call it; the returned result reflects this rank's
+// final view. The error is non-nil only for OutcomeFailed.
+//
+// The supervisor owns its engine's whole life. A run that ends clean or
+// preempted stops it collectively — every rank arrives at the same step
+// with nothing outstanding, so the engines halt in one more negotiation
+// round, bounded by the transport deadlines — and leaves cfg.Comm idle for
+// the caller's closing collectives. A failed or killed rank is fail-stop: it
+// aborts its transport, like the process exit it stands for, so the quiesce
+// is bounded and its peers see a typed *mpi.PeerError, not a silent engine.
 func Supervise(cfg SupervisorConfig) (*SupervisorResult, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -282,29 +295,33 @@ func Supervise(cfg SupervisorConfig) (*SupervisorResult, error) {
 		checkpoints:    cfg.Telemetry.Counter("train.checkpoints"),
 	}
 	err = sup.run()
-	preempted := errors.Is(err, errPreempted)
-	if preempted {
-		err = nil
-	}
-	if sup.in != nil {
-		if err == nil {
-			res.WeightsCRC = weightsCRC(sup.in.model, sup.in.opt, sup.step)
+	if in := sup.in; in != nil {
+		ended := err == nil || errors.Is(err, errPreempted)
+		if ended {
+			if serr := in.eng.Shutdown(); serr != nil {
+				err, ended = fmt.Errorf("train: engine shutdown after step %d: %w", sup.step, serr), false
+			}
 		}
-		if sup.in.eng != nil {
-			res.EngineStats = sup.in.eng.Stats()
+		if ended {
+			res.WeightsCRC = weightsCRC(in.model, in.opt, sup.step)
+		} else {
+			cfg.Comm.Abort()
+			in.eng.Quiesce()
 		}
-		res.WorldSize = sup.in.comm.Size()
-		res.Rank = sup.in.comm.Rank()
-		sup.in.close()
+		res.EngineStats = in.eng.Stats()
+		res.WorldSize = in.comm.Size()
+		res.Rank = in.comm.Rank()
+		in.close()
 	}
 	res.FinalStep = sup.step
-	if err != nil {
+	switch {
+	case errors.Is(err, errKilled):
+		res.Outcome = OutcomeKilled
+	case errors.Is(err, errPreempted):
+		res.Outcome = OutcomePreempted
+	case err != nil:
 		res.Outcome = OutcomeFailed
 		return res, err
-	}
-	switch {
-	case preempted:
-		res.Outcome = OutcomePreempted
 	case len(res.Recoveries) > 0 || len(res.Regrows) > 0:
 		res.Outcome = OutcomeRecovered
 	default:
@@ -313,14 +330,17 @@ func Supervise(cfg SupervisorConfig) (*SupervisorResult, error) {
 	return res, nil
 }
 
-// weightsCRC fingerprints the model plus its training state by serializing
-// them through the checkpoint writer and checksumming the bytes.
+// weightsCRC fingerprints the model plus its training state: the CRC-32 of
+// their checkpoint serialization, i.e. the trailer the writer appends.
+// (Checksumming the blob trailer included gives the residue 0x2144df1c for
+// every state.)
 func weightsCRC(m *models.Model, opt Optimizer, step int64) uint32 {
 	var buf bytes.Buffer
 	if err := SaveTrainingCheckpoint(&buf, m, CaptureTrainState(opt, step)); err != nil {
 		return 0
 	}
-	return crc32.ChecksumIEEE(buf.Bytes())
+	b := buf.Bytes()
+	return binary.LittleEndian.Uint32(b[len(b)-4:])
 }
 
 type supervisor struct {
@@ -339,11 +359,9 @@ type supervisor struct {
 	pending   []mpi.JoinRequest
 	announced bool
 
-	// Regrow restore plumbing: when set, restore() feeds the leader's live
-	// state snapshot through the broadcast instead of reading CkptDir, so a
-	// regrown world resumes bit-exactly with no rollback and no disk.
-	regrowRestore bool
-	regrowBlob    []byte
+	// regrowBlob is the leader's live-state snapshot, taken at a grow
+	// boundary and consumed by the next live restore().
+	regrowBlob []byte
 
 	recoveries     *telemetry.Counter
 	regrows        *telemetry.Counter
@@ -384,6 +402,9 @@ func (s *supervisor) run() error {
 			if s.cfg.OnStep != nil {
 				s.cfg.OnStep(s.step, st)
 			}
+			if s.step == s.cfg.DieAt && !s.cfg.Joiner {
+				return errKilled
+			}
 			continue
 		}
 		pe, ok := mpi.AsPeerError(err)
@@ -406,13 +427,18 @@ func (s *supervisor) run() error {
 // communicator, restore the newest valid checkpoint if one exists (cold
 // resume), and arm the regrow machinery: every rank enables the transport's
 // rejoin acceptor, and the leader starts collecting join requests. A
-// configured Joiner instead goes straight to the admission loop.
+// configured Joiner — a restarted process — instead goes straight to the
+// admission loop.
 func (s *supervisor) bootstrap() error {
 	s.origSize = s.cfg.Comm.Size()
-	if s.cfg.Joiner {
-		return s.bootstrapJoiner()
-	}
 	mpi.EnableRejoin(s.cfg.Comm)
+	if s.cfg.Joiner {
+		s.cfg.Health.Set(telemetry.HealthRegrowing, "joiner", true, "root_rank", s.cfg.Comm.Rank())
+		if err := s.readmit(time.Now(), nil); err != nil {
+			return fmt.Errorf("train: joiner admission: %w", err)
+		}
+		return nil
+	}
 	if s.cfg.Comm.Rank() == 0 {
 		jl, err := mpi.ListenJoins(s.cfg.Comm)
 		if err != nil {
@@ -420,9 +446,7 @@ func (s *supervisor) bootstrap() error {
 		}
 		s.jl = jl
 	}
-	in, err := s.build(s.cfg.Comm, func() *horovod.Engine {
-		return horovod.NewEngine(s.cfg.Comm, s.cfg.Engine)
-	})
+	in, err := s.build(s.cfg.Comm, nil, false)
 	if err != nil {
 		return err
 	}
@@ -430,24 +454,36 @@ func (s *supervisor) bootstrap() error {
 	return nil
 }
 
-// bootstrapJoiner is the restarted process's path back into a running job:
-// run the admission loop against the leader, then build on the grown
-// communicator, restoring from the broadcast live state.
-func (s *supervisor) bootstrapJoiner() error {
-	t0 := time.Now()
+// readmit is the way back into a running job for a restarted Joiner and a
+// parked minority alike: the mpi.Rejoin admission loop on the job's root
+// communicator (TCP listen address and jitter seed derive from this rank's
+// root rank), then an incarnation on the grown communicator — prev restarted
+// onto it, or a first engine — restored from the state the regrown world
+// broadcasts. The regrow log records the round trip since t0.
+func (s *supervisor) readmit(t0 time.Time, prev *horovod.Engine) error {
 	myRoot := s.cfg.Comm.Rank()
-	s.cfg.Health.Set(telemetry.HealthRegrowing, "joiner", true, "root_rank", myRoot)
-	mpi.EnableRejoin(s.cfg.Comm)
-	newComm, members, epoch, err := s.rejoin(-1)
-	if err != nil {
-		return fmt.Errorf("train: joiner admission: %w", err)
+	var addr string
+	if addrs := s.cfg.Comm.PeerAddrs(); myRoot < len(addrs) {
+		addr = addrs[myRoot]
 	}
-	s.epoch = epoch + 1
-	s.regrowRestore = true
-	in, err := s.build(newComm, func() *horovod.Engine {
-		return horovod.NewEngine(newComm, s.cfg.Engine)
+	newComm, members, epoch, err := mpi.Rejoin(s.cfg.Comm, mpi.RejoinOptions{
+		// The wildcard epoch: the majority's epoch advanced an unknown number
+		// of shrinks ago, and the leader's stale rejection would teach it to
+		// us anyway.
+		Epoch:   -1,
+		Addr:    addr,
+		Timeout: s.cfg.RejoinTimeout,
+		Seed:    int64(myRoot) + 1,
+		// Both callers know their previous incarnation is gone, so a leader
+		// rejection only means its failure detection has not caught up yet.
+		RetryRejected: true,
 	})
-	s.regrowRestore, s.regrowBlob = false, nil
+	if err != nil {
+		return err
+	}
+	s.cfg.Health.Set(telemetry.HealthRegrowing, "epoch", epoch)
+	s.epoch = epoch + 1
+	in, err := s.build(newComm, prev, true)
 	if err != nil {
 		return err
 	}
@@ -461,26 +497,6 @@ func (s *supervisor) bootstrapJoiner() error {
 	})
 	s.regrows.Inc()
 	return nil
-}
-
-// rejoin runs mpi.Rejoin on the job's root communicator, deriving the listen
-// address (TCP transports) and the jitter seed from this rank's root rank.
-func (s *supervisor) rejoin(epoch int) (*mpi.Comm, []int, int, error) {
-	myRoot := s.cfg.Comm.Rank()
-	var addr string
-	if addrs := s.cfg.Comm.PeerAddrs(); myRoot < len(addrs) {
-		addr = addrs[myRoot]
-	}
-	return mpi.Rejoin(s.cfg.Comm, mpi.RejoinOptions{
-		Epoch:   epoch,
-		Addr:    addr,
-		Timeout: s.cfg.RejoinTimeout,
-		Seed:    int64(myRoot) + 1,
-		// Both callers — a restarted Joiner and a parked minority — know
-		// their previous incarnation is gone, so a leader rejection only
-		// means its failure detection has not caught up yet.
-		RetryRejected: true,
-	})
 }
 
 // admitJoiners is the leader's between-steps membership duty: drain newly
@@ -536,15 +552,17 @@ func (s *supervisor) linger() error {
 }
 
 // build constructs an incarnation on comm: model, optimizer sized for the
-// world, checkpoint restore, re-sharded generator, trainer. The engine is
-// created (via newEngine) only after the restore broadcast has completed:
-// a running engine issues its own collectives on comm, and the MPI usage
-// rule allows one collective at a time per communicator — starting it
-// earlier would interleave negotiation frames with the checkpoint blob.
-func (s *supervisor) build(comm *mpi.Comm, newEngine func() *horovod.Engine) (*incarnation, error) {
+// world, restore (from the leader's live state when live is set, else from
+// CkptDir), re-sharded generator, trainer. The engine — prev restarted onto
+// comm, or the run's first when prev is nil — is created only after the
+// restore broadcast has completed: a running engine issues its own
+// collectives on comm, and the MPI usage rule allows one collective at a
+// time per communicator — starting it earlier would interleave negotiation
+// frames with the checkpoint blob.
+func (s *supervisor) build(comm *mpi.Comm, prev *horovod.Engine, live bool) (*incarnation, error) {
 	model := s.cfg.NewModel()
 	opt := s.cfg.NewOptimizer(comm.Size())
-	step, err := s.restore(comm, model, opt)
+	step, err := s.restore(comm, model, opt, live)
 	if err != nil {
 		return nil, err
 	}
@@ -557,7 +575,12 @@ func (s *supervisor) build(comm *mpi.Comm, newEngine func() *horovod.Engine) (*i
 	if err != nil {
 		return nil, err
 	}
-	eng := newEngine()
+	var eng *horovod.Engine
+	if prev == nil {
+		eng = horovod.NewEngine(comm, s.cfg.Engine)
+	} else {
+		eng = prev.Restart(comm)
+	}
 	tr, err := New(Config{
 		Model:        model,
 		IntraThreads: s.cfg.IntraThreads,
@@ -630,7 +653,7 @@ func (s *supervisor) recover(suspects []int) error {
 	// leader re-announces its pending batch at the post-shrink epoch.
 	s.announced = false
 	old.close()
-	in, err := s.build(newComm, func() *horovod.Engine { return old.eng.Restart(newComm) })
+	in, err := s.build(newComm, old.eng, false)
 	if err != nil {
 		return err
 	}
@@ -680,35 +703,15 @@ func (s *supervisor) park(old *incarnation) error {
 	s.res.ParkedStep = s.step
 	s.cfg.Health.Set(telemetry.HealthParked, "step", s.step, "root_rank", myRoot)
 	old.close()
-	// The wildcard epoch: the majority's epoch advanced an unknown number of
-	// shrinks ago, and the leader's stale rejection would teach it to us
-	// anyway.
-	newComm, members, epoch, err := s.rejoin(-1)
-	if err != nil {
+	if err := s.readmit(t0, old.eng); err != nil {
 		return fmt.Errorf("train: parked rank not readmitted: %w", err)
 	}
-	s.cfg.Health.Set(telemetry.HealthRegrowing, "epoch", epoch)
-	s.epoch = epoch + 1
-	s.regrowRestore = true
-	in, berr := s.build(newComm, func() *horovod.Engine { return old.eng.Restart(newComm) })
-	s.regrowRestore, s.regrowBlob = false, nil
-	if berr != nil {
-		return berr
-	}
-	s.in = in
-	s.res.Regrows = append(s.res.Regrows, RegrowEvent{
-		OldSize:    len(members) - 1,
-		NewSize:    len(members),
-		Joined:     []int{myRoot},
-		ResumeStep: s.step,
-		Latency:    time.Since(t0),
-	})
-	s.regrows.Inc()
-	s.cfg.Health.Set(telemetry.HealthOK, "world", newComm.Size(), "rejoined", true)
-	s.cfg.Health.RecordWorld(newComm.Size())
+	size := s.in.comm.Size()
+	s.cfg.Health.Set(telemetry.HealthOK, "world", size, "rejoined", true)
+	s.cfg.Health.RecordWorld(size)
 	s.cfg.Tracer.CompleteArgs("train.rejoin", "elastic", 0, t0, time.Since(t0), map[string]any{
 		"root_rank":   myRoot,
-		"new_size":    newComm.Size(),
+		"new_size":    size,
 		"resume_step": s.step,
 		"latency_us":  time.Since(t0).Microseconds(),
 	})
@@ -729,38 +732,30 @@ func (s *supervisor) regrow(epoch int) error {
 	s.cfg.Health.Set(telemetry.HealthRegrowing, "old_size", oldSize, "epoch", epoch)
 	old.eng.Quiesce()
 
-	s.regrowRestore = true
 	if old.comm.Rank() == 0 {
 		var buf bytes.Buffer
 		if err := SaveTrainingCheckpoint(&buf, old.model, CaptureTrainState(old.opt, s.step)); err != nil {
-			s.regrowRestore = false
 			return fmt.Errorf("train: regrow snapshot: %w", err)
 		}
 		s.regrowBlob = buf.Bytes()
 	}
 
-	newComm, members, err := old.comm.Grow(s.pending, mpi.GrowOptions{Epoch: epoch})
+	newComm, members, gerr := old.comm.Grow(s.pending, mpi.GrowOptions{Epoch: epoch})
 	s.epoch = epoch + 1
 	s.pending, s.announced = nil, false
-	if err != nil {
-		old.close()
-		in, berr := s.build(old.comm, func() *horovod.Engine { return old.eng.Restart(old.comm) })
-		s.regrowRestore, s.regrowBlob = false, nil
-		if berr != nil {
-			return fmt.Errorf("grow failed (%v) and rebuild failed: %w", err, berr)
-		}
-		s.in = in
-		s.cfg.Health.Set(telemetry.HealthDegraded, "grow_error", err.Error())
-		return nil
+	if gerr != nil {
+		newComm = old.comm // still a valid world: rebuild on it, shrunk
 	}
-
 	old.close()
-	in, err := s.build(newComm, func() *horovod.Engine { return old.eng.Restart(newComm) })
-	s.regrowRestore, s.regrowBlob = false, nil
+	in, err := s.build(newComm, old.eng, true)
 	if err != nil {
-		return err
+		return errors.Join(gerr, err)
 	}
 	s.in = in
+	if gerr != nil {
+		s.cfg.Health.Set(telemetry.HealthDegraded, "grow_error", gerr.Error())
+		return nil
+	}
 
 	wasMember := make(map[int]bool, len(oldRoots))
 	for _, r := range oldRoots {
@@ -821,9 +816,13 @@ func (s *supervisor) maybeCheckpoint() error {
 
 func ckptFileName(step int64) string { return fmt.Sprintf("ckpt-%08d.dnpf", step) }
 
-// errPreempted is the cooperative-halt sentinel run() returns when a HaltAt
-// boundary is reached; Supervise maps it to OutcomePreempted with a nil error.
-var errPreempted = errors.New("train: preempted")
+// run()'s two non-failure endings, which Supervise maps to their outcomes with
+// a nil error: errPreempted when a HaltAt boundary is reached, errKilled when
+// the DieAt step has completed.
+var (
+	errPreempted = errors.New("train: preempted")
+	errKilled    = errors.New("train: killed at DieAt")
+)
 
 // halt ends the run at a preemption boundary: the leader force-writes a
 // checkpoint at the current step (ignoring the CkptEvery cadence — this is
@@ -855,14 +854,14 @@ func (s *supervisor) halt() error {
 // live-state snapshot instead, so the grown world (joiners included) resumes
 // from the exact pre-grow state with no rollback and no checkpoint files.
 // Returns the restored global step.
-func (s *supervisor) restore(comm *mpi.Comm, model *models.Model, opt Optimizer) (int64, error) {
-	if !s.regrowRestore && s.cfg.CkptDir == "" {
+func (s *supervisor) restore(comm *mpi.Comm, model *models.Model, opt Optimizer, live bool) (int64, error) {
+	if !live && s.cfg.CkptDir == "" {
 		return 0, nil
 	}
 	var blob []byte
 	if comm.Rank() == 0 {
-		if s.regrowRestore {
-			blob = s.regrowBlob
+		if live {
+			blob, s.regrowBlob = s.regrowBlob, nil
 		} else {
 			blob = s.newestValidCheckpoint()
 		}

@@ -17,7 +17,6 @@ import (
 
 	"dnnperf/internal/hw"
 	"dnnperf/internal/perf"
-	"dnnperf/internal/sim"
 )
 
 // Config describes one experiment point.
@@ -267,9 +266,14 @@ func simulateOnce(cfg Config, fw perf.Framework, env perf.ExecEnv, tg *taskGraph
 		lastCommEnd  float64
 		res          Result
 	)
-	// In-flight fused allreduces live on a discrete-event queue; each
-	// completion event releases its gradient tensors.
-	var events sim.Sim
+	// In-flight fused allreduces, each releasing count gradient tensors at end.
+	// The comm channel is serial (a start is never before the previous end),
+	// so ends are nondecreasing and a FIFO is the whole event queue.
+	type allreduce struct {
+		end   float64
+		count int
+	}
+	var inflight []allreduce
 	if !distributed {
 		gradsPending = 0 // no allreduce needed
 	}
@@ -327,8 +331,8 @@ func simulateOnce(cfg Config, fw perf.Framework, env perf.ExecEnv, tg *taskGraph
 				dt = d
 			}
 		}
-		if t, ok := events.NextTime(); ok {
-			if d := t - now; d < dt {
+		if len(inflight) > 0 {
+			if d := inflight[0].end - now; d < dt {
 				dt = d
 			}
 		}
@@ -372,7 +376,11 @@ func simulateOnce(cfg Config, fw perf.Framework, env perf.ExecEnv, tg *taskGraph
 		active = still
 
 		// Retire completed allreduces.
-		events.RunUntil(now + eps)
+		for len(inflight) > 0 && inflight[0].end <= now+eps {
+			gradsPending -= inflight[0].count
+			lastCommEnd = inflight[0].end
+			inflight = inflight[1:]
+		}
 
 		// Engine tick: every cycle the background thread negotiates (one
 		// control-plane collective, counted in Cycles) and launches fused
@@ -396,13 +404,7 @@ func simulateOnce(cfg Config, fw perf.Framework, env perf.ExecEnv, tg *taskGraph
 						tr.comm(start, start+ar, count)
 					}
 					start += ar
-					end, n := start, count
-					events.At(end, func() {
-						gradsPending -= n
-						if end > lastCommEnd {
-							lastCommEnd = end
-						}
-					})
+					inflight = append(inflight, allreduce{end: start, count: count})
 					res.EngineAllreduces++
 					batch, count = 0, 0
 				}
