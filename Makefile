@@ -43,9 +43,11 @@ fuzz:
 # scenarios runs the shipped chaos-scenario library end to end: elastic
 # kill/partition recovery, straggler detection, seeded fault soaks. Every
 # scenario is deterministic from its seed; a FAIL here is replayable with
-# `go run ./cmd/dnnperf scenario run scenarios/<name>.yaml`.
+# `go run ./cmd/dnnperf scenario run scenarios/<name>.yaml`. Each run's
+# report — verdicts plus the replayable event log — lands in
+# scenario-reports/.
 scenarios: build
-	$(GO) run ./cmd/dnnperf scenario run -q scenarios/*.yaml
+	$(GO) run ./cmd/dnnperf scenario run -q -out scenario-reports scenarios/*.yaml
 
 # regrow-demo runs the whole elastic lifecycle across real OS processes
 # (examples/jobs/regrow.yaml): a 4-rank TCP job loses rank 2 after step 3,

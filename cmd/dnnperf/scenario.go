@@ -100,9 +100,13 @@ func scenarioCheck(args []string) int {
 			bad++
 			continue
 		}
-		fmt.Printf("ok %s: %s (%s/%s, %d ranks, %d events, %d asserts)\n",
-			path, spec.Name, spec.Fleet.Transport, spec.Job.Kind,
-			spec.Fleet.Ranks, len(spec.Timeline), len(spec.Asserts))
+		shape := spec.Kind
+		if spec.Kind != "sched" {
+			js := spec.JobSpec()
+			shape = fmt.Sprintf("%s, %d ranks", runsOn(spec), js.Ranks())
+		}
+		fmt.Printf("ok %s: %s (%s, %d events, %d asserts)\n",
+			path, spec.Name, shape, len(spec.Timeline), len(spec.Asserts))
 	}
 	if bad > 0 {
 		return 1
@@ -127,8 +131,16 @@ func scenarioList(args []string) int {
 			fmt.Printf("%-28s INVALID: %v\n", filepath.Base(path), err)
 			continue
 		}
-		fmt.Printf("%-28s %-10s %-12s %s\n",
-			filepath.Base(path), spec.Job.Kind, spec.Fleet.Transport, spec.Description)
+		fmt.Printf("%-28s %-20s %s\n", filepath.Base(path), runsOn(spec), spec.Description)
 	}
 	return 0
+}
+
+// runsOn names what a scenario runs: its kind, and for the live kinds the
+// transport under it.
+func runsOn(spec *scenario.Spec) string {
+	if spec.Transport == "" {
+		return spec.Kind
+	}
+	return spec.Kind + "/" + spec.Transport
 }

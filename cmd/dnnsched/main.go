@@ -7,19 +7,21 @@
 // Two modes share one scheduler:
 //
 //	dnnsched -synth 1000 -tenants 3 -seed 7              # discrete-event sim
-//	dnnsched -workload jobs.yaml -mode real -backend tcp # real gangs
+//	dnnsched -workload examples/workloads/preempt.yaml -mode real -backend tcp
 //
 // Discrete-event mode schedules thousands of simulated jobs in milliseconds
 // and replays byte-identically for a seed; real mode launches small inproc
 // or loopback-TCP gangs and preempts them with the cooperative elastic halt
-// (checkpoint, park, regrow). The job specs are the same schema `mpirun
-// -job` runs standalone.
+// (checkpoint, park, regrow). A workload file is the whole input — the job
+// specs in it are the same schema `mpirun -job` runs standalone — and the
+// shape flags describe a -synth stream only.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"dnnperf/internal/job"
@@ -27,110 +29,104 @@ import (
 )
 
 func main() {
-	var (
-		workload  = flag.String("workload", "", "workload YAML/JSON file (job.Workload schema)")
-		synth     = flag.Int("synth", 0, "synthesize this many jobs from the seed (alternative or addition to -workload)")
-		tenants   = flag.Int("tenants", 3, "tenant count for the synthetic stream")
-		seed      = flag.Int64("seed", 1, "workload seed: same seed, same simulated schedule, byte-for-byte")
-		mode      = flag.String("mode", "sim", "sim (discrete-event) or real (launch actual gangs)")
-		backend   = flag.String("backend", "inproc", "real-mode backend: inproc or tcp")
-		nodes     = flag.Int("nodes", 4, "cluster nodes")
-		slots     = flag.Int("slots", 8, "schedulable slots per node")
-		platform  = flag.String("platform", "Skylake-1", "hw catalog label for the simulated nodes")
-		noPreempt = flag.Bool("no_preempt", false, "disable priority preemption")
-		report    = flag.String("report", "", "write the JSON report here ('-' for stdout)")
-		events    = flag.Bool("events", false, "print the scheduler event log")
-		quiet     = flag.Bool("q", false, "suppress the human summary")
-	)
-	flag.Parse()
-	if err := run(*workload, *synth, *tenants, *seed, *mode, *backend,
-		*nodes, *slots, *platform, *noPreempt, *report, *events, *quiet); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "dnnsched:", err)
 		os.Exit(1)
 	}
 }
 
-func run(workload string, synth, tenants int, seed int64, mode, backend string,
-	nodes, slots int, platform string, noPreempt bool, report string, events, quiet bool) error {
+func run(args []string) error {
+	fs := flag.NewFlagSet("dnnsched", flag.ExitOnError)
+	var (
+		workload  = fs.String("workload", "", "workload YAML/JSON file (job.Workload schema): the whole input")
+		synth     = fs.Int("synth", 0, "synthesize this many jobs from the seed instead of a -workload file")
+		tenants   = fs.Int("tenants", 3, "-synth: tenant count")
+		seed      = fs.Int64("seed", 1, "-synth: workload seed — same seed, same simulated schedule, byte-for-byte")
+		mode      = fs.String("mode", "sim", "sim (discrete-event) or real (launch actual gangs)")
+		backend   = fs.String("backend", "inproc", "real-mode backend: inproc or tcp")
+		nodes     = fs.Int("nodes", 4, "-synth: cluster nodes")
+		slots     = fs.Int("slots", 8, "-synth: schedulable slots per node")
+		platform  = fs.String("platform", "Skylake-1", "-synth: hw catalog label for the simulated nodes")
+		noPreempt = fs.Bool("no_preempt", false, "-synth: disable priority preemption")
+		report    = fs.String("report", "", "write the JSON report here ('-' for stdout)")
+		events    = fs.Bool("events", false, "print the scheduler event log")
+		quiet     = fs.Bool("q", false, "suppress the human summary")
+	)
+	fs.Parse(args)
 	var w *job.Workload
-	if workload != "" {
-		loaded, err := job.LoadWorkload(workload)
+	if *workload != "" {
+		var shape []string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "synth", "tenants", "seed", "nodes", "slots", "platform", "no_preempt":
+				shape = append(shape, "-"+f.Name)
+			}
+		})
+		if len(shape) > 0 {
+			fs.Usage()
+			return fmt.Errorf("%s: shape flags describe a -synth stream; a -workload file is the whole input", strings.Join(shape, " "))
+		}
+		loaded, err := job.LoadWorkload(*workload)
 		if err != nil {
 			return err
 		}
 		w = loaded
-		flag.Visit(func(f *flag.Flag) { // explicit flags override the file
-			switch f.Name {
-			case "seed":
-				w.Seed = seed
-			case "nodes":
-				w.Cluster.Nodes = nodes
-			case "slots":
-				w.Cluster.SlotsPerNode = slots
-			case "platform":
-				w.Cluster.Platform = platform
-			case "no_preempt":
-				w.NoPreempt = noPreempt
-			}
-		})
-		if synth > 0 {
-			w.Synth = &job.SynthSpec{Jobs: synth, Tenants: tenants}
-		}
 	} else {
-		if synth <= 0 {
+		if *synth <= 0 {
+			fs.Usage()
 			return fmt.Errorf("need -workload or -synth N")
 		}
 		w = &job.Workload{
 			Name:      "synth",
-			Seed:      seed,
-			NoPreempt: noPreempt,
-			Cluster:   job.ClusterSpec{Platform: platform, Nodes: nodes, SlotsPerNode: slots},
-			Synth:     &job.SynthSpec{Jobs: synth, Tenants: tenants},
+			Seed:      *seed,
+			NoPreempt: *noPreempt,
+			Cluster:   job.ClusterSpec{Platform: *platform, Nodes: *nodes, SlotsPerNode: *slots},
+			Synth:     &job.SynthSpec{Jobs: *synth, Tenants: *tenants},
 		}
 	}
 
 	reg := telemetry.New()
 	var rep *job.SchedReport
 	var err error
-	switch mode {
+	switch *mode {
 	case "sim":
 		rep, err = job.RunSim(w, job.NewSimBackend(), reg)
 	case "real":
 		var be job.Backend
-		switch backend {
+		switch *backend {
 		case "inproc":
 			be = job.InprocBackend{}
 		case "tcp":
 			be = job.TCPBackend{}
 		default:
-			return fmt.Errorf("unknown backend %q (want inproc or tcp)", backend)
+			return fmt.Errorf("unknown backend %q (want inproc or tcp)", *backend)
 		}
 		rep, err = job.RunReal(w, be, reg)
 	default:
-		return fmt.Errorf("unknown mode %q (want sim or real)", mode)
+		return fmt.Errorf("unknown mode %q (want sim or real)", *mode)
 	}
 	if err != nil {
 		return err
 	}
 
-	if !quiet {
+	if !*quiet {
 		printSummary(rep)
 	}
-	if events {
+	if *events {
 		for _, line := range rep.EventLog {
 			fmt.Println(line)
 		}
 	}
-	if report != "" {
+	if *report != "" {
 		blob, err := rep.JSON()
 		if err != nil {
 			return err
 		}
 		blob = append(blob, '\n')
-		if report == "-" {
+		if *report == "-" {
 			_, err = os.Stdout.Write(blob)
 		} else {
-			err = os.WriteFile(report, blob, 0o644)
+			err = os.WriteFile(*report, blob, 0o644)
 		}
 		if err != nil {
 			return err

@@ -3,10 +3,12 @@ package job
 import (
 	"dnnperf/internal/data"
 	"dnnperf/internal/horovod"
+	"dnnperf/internal/hw"
 	"dnnperf/internal/models"
 	"dnnperf/internal/mpi"
 	"dnnperf/internal/telemetry"
 	"dnnperf/internal/train"
+	"dnnperf/internal/trainsim"
 )
 
 // Factories builds the deterministic model/optimizer/generator builders
@@ -43,6 +45,27 @@ func (s *Spec) Factories() (newModel func() *models.Model, newOpt func(int) trai
 		return gen.Next, nil
 	}
 	return newModel, newOpt, newGen
+}
+
+// SimConfig renders the spec into the simulator's configuration: the hw
+// catalog entry its platform names plus the workload shape. Runs is the
+// caller's to set.
+func (s *Spec) SimConfig() (trainsim.Config, error) {
+	cpu, err := hw.ByLabel(s.Platform)
+	if err != nil {
+		return trainsim.Config{}, err
+	}
+	return trainsim.Config{
+		Model:        s.Model,
+		Framework:    s.Framework,
+		CPU:          cpu,
+		Nodes:        s.Nodes,
+		PPN:          s.PPN,
+		BatchPerProc: s.Batch,
+		IntraThreads: s.IntraThreads,
+		InterThreads: s.InterThreads,
+		Seed:         s.Seed,
+	}, nil
 }
 
 // EngineConfig renders the spec's Horovod engine settings.

@@ -36,6 +36,23 @@ func TestLibraryJobSpecsValid(t *testing.T) {
 	}
 }
 
+// TestLibraryWorkloadsValid loads every committed dnnsched workload, so a
+// schema change that orphans examples/workloads fails here.
+func TestLibraryWorkloadsValid(t *testing.T) {
+	paths, err := filepath.Glob("../../examples/workloads/*.yaml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no workload files in examples/workloads")
+	}
+	for _, path := range paths {
+		if _, err := LoadWorkload(path); err != nil {
+			t.Errorf("%s: %v", path, err)
+		}
+	}
+}
+
 func TestSpecDefaultsAndValidate(t *testing.T) {
 	spec, err := ParseSpec([]byte("name: demo\nelastic: true\n"))
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"dnnperf/internal/hw"
 	"dnnperf/internal/trainsim"
 )
 
@@ -76,22 +75,12 @@ func (b *SimBackend) simulate(spec *Spec) (*trainsim.Result, error) {
 	if cached != nil {
 		return cached, nil
 	}
-	cpu, err := hw.ByLabel(spec.Platform)
+	cfg, err := spec.SimConfig()
 	if err != nil {
 		return nil, err
 	}
-	res, err := trainsim.Simulate(trainsim.Config{
-		Model:        spec.Model,
-		Framework:    spec.Framework,
-		CPU:          cpu,
-		Nodes:        spec.Nodes,
-		PPN:          spec.PPN,
-		BatchPerProc: spec.Batch,
-		IntraThreads: spec.IntraThreads,
-		InterThreads: spec.InterThreads,
-		Runs:         1,
-		Seed:         spec.Seed,
-	})
+	cfg.Runs = 1
+	res, err := trainsim.Simulate(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -23,7 +23,7 @@ func evalAssert(a Assert, oc *outcome) AssertResult {
 	case "final_step":
 		want := int64(a.Value)
 		if want <= 0 {
-			want = int64(oc.spec.Job.Steps)
+			want = int64(oc.spec.JobSpec().Steps)
 		}
 		res.Pass, res.Detail = assertFinalStep(want, oc)
 	case "checkpoint_valid":
@@ -109,11 +109,12 @@ func assertRecoveredWithin(within time.Duration, oc *outcome) (bool, string) {
 }
 
 // assertWorldSizeFinal holds when every surviving supervised rank ended in
-// a world of the wanted size (0 = the fleet's declared rank count): the
+// a world of the wanted size (0 = the job's declared rank count): the
 // regrow brought everyone back, and nobody is stranded in a stale world.
 func assertWorldSizeFinal(want int, oc *outcome) (bool, string) {
 	if want <= 0 {
-		want = oc.spec.Fleet.Ranks
+		js := oc.spec.JobSpec()
+		want = js.Ranks()
 	}
 	if len(oc.supervised) == 0 {
 		return false, "no surviving supervised ranks"

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dnnperf/internal/hw"
 	"dnnperf/internal/job"
 	"dnnperf/internal/models"
 	"dnnperf/internal/mpi"
@@ -84,12 +83,12 @@ func Run(spec *Spec, opts Options) (*Report, error) {
 		return nil, err
 	}
 	start := time.Now()
-	opts.logf("scenario %s: seed=%d kind=%s transport=%s ranks=%d",
-		spec.Name, spec.Seed, spec.Job.Kind, spec.Fleet.Transport, spec.Fleet.Ranks)
+	opts.logf("scenario %s: seed=%d kind=%s transport=%s",
+		spec.Name, spec.Seed, spec.Kind, spec.Transport)
 
 	var oc *outcome
 	var err error
-	switch spec.Job.Kind {
+	switch spec.Kind {
 	case "train":
 		oc, err = runTrain(spec, opts)
 	case "collectives":
@@ -108,7 +107,7 @@ func Run(spec *Spec, opts Options) (*Report, error) {
 		Scenario:       spec.Name,
 		Description:    spec.Description,
 		Seed:           spec.Seed,
-		Kind:           spec.Job.Kind,
+		Kind:           spec.Kind,
 		Pass:           true,
 		EventLog:       oc.eventLog,
 		ElapsedMS:      oc.elapsed.Milliseconds(),
@@ -205,7 +204,7 @@ func newTrainControl(spec *Spec, js *job.Spec, fleet *job.Fleet, det *detect.Det
 		fired: make([]atomic.Bool, len(spec.Timeline)),
 	}
 	for i := range ctl.once {
-		ctl.once[i] = make([]sync.Once, spec.Fleet.Ranks)
+		ctl.once[i] = make([]sync.Once, js.Ranks())
 	}
 	return ctl
 }
@@ -267,40 +266,10 @@ func (ctl *trainControl) hook(r int) func(int64, train.StepStats) {
 	}
 }
 
-// jobSpec renders the scenario's live job into the shared job.Spec schema
-// — the single definition mpirun, dnnsched and the experiment runner
-// execute — so every factory, engine and supervisor knob comes from one
-// place. ckptDir is the resolved on-disk checkpoint directory ("" = none).
-func jobSpec(spec *Spec, ckptDir string) (*job.Spec, error) {
-	js := &job.Spec{
-		Name:         spec.Name,
-		PPN:          spec.Fleet.Ranks,
-		Steps:        spec.Job.Steps,
-		Batch:        spec.Job.Batch,
-		CycleTime:    spec.Job.CycleTime,
-		Seed:         spec.Seed,
-		Elastic:      spec.Job.Elastic,
-		CkptDir:      ckptDir,
-		CkptEvery:    spec.Job.CkptEvery,
-		RegrowWait:   spec.Job.RegrowWait,
-		RecvTimeout:  spec.Fleet.RecvTimeout,
-		Faults:       spec.Faults,
-		AllreduceAlg: spec.Job.AllreduceAlg,
-		SegmentBytes: spec.Job.SegmentBytes,
-		// Scenario training predates LR scheduling: keep the constant-rate
-		// optimizer so event logs replay.
-		LRPolicy: "constant",
-	}
-	if err := js.Validate(); err != nil {
-		return nil, err
-	}
-	return js, nil
-}
-
 func runTrain(spec *Spec, opts Options) (*outcome, error) {
-	n := spec.Fleet.Ranks
-	ckptDir := ""
-	if spec.Job.CkptEvery > 0 {
+	js := spec.JobSpec()
+	n := js.Ranks()
+	if js.CkptEvery > 0 {
 		base := opts.OutDir
 		if base == "" {
 			tmp, terr := os.MkdirTemp("", "scenario-"+spec.Name+"-")
@@ -309,22 +278,24 @@ func runTrain(spec *Spec, opts Options) (*outcome, error) {
 			}
 			base = tmp
 		}
-		ckptDir = filepath.Join(base, "ckpt-"+spec.Name)
-		if err := os.MkdirAll(ckptDir, 0o755); err != nil {
+		// The directory is the harness's alone (job.ckpt_dir is rejected):
+		// start it empty, or a rerun into the same -out would cold-resume
+		// from the previous run's final checkpoint and skip the timeline.
+		js.CkptDir = filepath.Join(base, "ckpt-"+spec.Name)
+		if err := os.RemoveAll(js.CkptDir); err != nil {
+			return nil, err
+		}
+		if err := os.MkdirAll(js.CkptDir, 0o755); err != nil {
 			return nil, err
 		}
 	}
-	js, err := jobSpec(spec, ckptDir)
-	if err != nil {
-		return nil, err
-	}
-	fleet, err := job.NewFleet(js, spec.Fleet.Transport)
+	fleet, err := job.NewFleet(&js, spec.Transport)
 	if err != nil {
 		return nil, err
 	}
 	regs := newRegistries(n)
 	det := detect.New(detect.Config{}, regs[0], nil)
-	ctl := newTrainControl(spec, js, fleet, det)
+	ctl := newTrainControl(spec, &js, fleet, det)
 	newModel, _, _ := js.Factories()
 
 	// Every rank runs the supervised loop. A kill_rank target's config
@@ -349,7 +320,7 @@ func runTrain(spec *Spec, opts Options) (*outcome, error) {
 	var timers []*time.Timer
 	for i := range spec.Timeline {
 		ev := &spec.Timeline[i]
-		if ev.At > 0 && ev.AtStep <= 0 && ev.Action != "kill_rank" && ev.Action != "straggle" {
+		if ev.At > 0 {
 			i, ev := i, ev
 			timers = append(timers, time.AfterFunc(ev.At.D(), func() {
 				for r := 0; r < n; r++ {
@@ -388,7 +359,7 @@ func runTrain(spec *Spec, opts Options) (*outcome, error) {
 		supervised: map[int]*train.SupervisorResult{},
 		errs:       map[int]error{},
 		casualties: map[int]string{},
-		ckptDir:    ckptDir,
+		ckptDir:    js.CkptDir,
 		newModel:   newModel,
 	}
 	for r := 0; r < n; r++ {
@@ -452,11 +423,11 @@ func mergeRanks(regs []*telemetry.Registry) *telemetry.MergedMetrics {
 // trigger points, the recovery trajectory, per-rank outcomes. No
 // wall-clock values — those live in the report.
 func buildTrainEventLog(oc *outcome, ctl *trainControl) {
-	spec := oc.spec
+	spec, js := oc.spec, ctl.js
 	oc.log("scenario %s seed=%d", spec.Name, spec.Seed)
-	oc.log("fleet ranks=%d transport=%s", spec.Fleet.Ranks, spec.Fleet.Transport)
+	oc.log("fleet ranks=%d transport=%s", js.Ranks(), spec.Transport)
 	oc.log("job kind=train steps=%d batch=%d elastic=%t ckpt_every=%d",
-		spec.Job.Steps, spec.Job.Batch, spec.Job.Elastic, spec.Job.CkptEvery)
+		js.Steps, js.Batch, js.Elastic, js.CkptEvery)
 	for i := range spec.Timeline {
 		ev := &spec.Timeline[i]
 		if ev.Action == "kill_rank" {
@@ -508,7 +479,7 @@ func buildTrainEventLog(oc *outcome, ctl *trainControl) {
 			sortedRanks(joined), oc.regrows[0].OldSize,
 			oc.regrows[len(oc.regrows)-1].NewSize)
 	}
-	for r := 0; r < spec.Fleet.Ranks; r++ {
+	for r := 0; r < js.Ranks(); r++ {
 		if word, ok := oc.casualties[r]; ok {
 			oc.log("rank %d outcome=%s", r, word)
 			continue
@@ -559,12 +530,9 @@ func hasAction(spec *Spec, action string) bool {
 }
 
 func runCollectives(spec *Spec, opts Options) (*outcome, error) {
-	n := spec.Fleet.Ranks
-	js, err := jobSpec(spec, "")
-	if err != nil {
-		return nil, err
-	}
-	fleet, err := job.NewFleet(js, spec.Fleet.Transport)
+	js := spec.JobSpec()
+	n := js.Ranks()
+	fleet, err := job.NewFleet(&js, spec.Transport)
 	if err != nil {
 		return nil, err
 	}
@@ -574,12 +542,12 @@ func runCollectives(spec *Spec, opts Options) (*outcome, error) {
 	}
 	oc := &outcome{spec: spec, stats: map[int]mpi.FaultStats{}}
 	oc.log("scenario %s seed=%d", spec.Name, spec.Seed)
-	oc.log("fleet ranks=%d transport=%s", n, spec.Fleet.Transport)
+	oc.log("fleet ranks=%d transport=%s", n, spec.Transport)
 	oc.log("job kind=collectives rounds=%d vec_elems=%d alg=%s",
-		spec.Job.Rounds, spec.Job.VecElems, orAuto(spec.Job.AllreduceAlg))
+		js.Steps, spec.VecElems, orAuto(js.AllreduceAlg))
 
 	want := float32(n * (n - 1) / 2)
-	for round := int64(1); round <= int64(spec.Job.Rounds); round++ {
+	for round := int64(1); round <= int64(js.Steps); round++ {
 		// The control loop is single-threaded, so round-scheduled events
 		// apply to every transport before the round's first send —
 		// identical positions in each rank's send sequence on every run.
@@ -589,7 +557,7 @@ func runCollectives(spec *Spec, opts Options) (*outcome, error) {
 				continue
 			}
 			for r := 0; r < n; r++ {
-				applyEvent(js, fleet, r, ev)
+				applyEvent(&js, fleet, r, ev)
 			}
 			switch ev.Action {
 			case "set_faults":
@@ -606,7 +574,7 @@ func runCollectives(spec *Spec, opts Options) (*outcome, error) {
 			wg.Add(1)
 			go func(r int) {
 				defer wg.Done()
-				buf := make([]float32, spec.Job.VecElems)
+				buf := make([]float32, spec.VecElems)
 				for i := range buf {
 					buf[i] = float32(r)
 				}
@@ -662,47 +630,25 @@ func orAuto(s string) string {
 }
 
 func runTrainsim(spec *Spec, opts Options) (*outcome, error) {
-	cpu, err := hw.ByLabel(spec.Job.CPU)
-	if err != nil {
-		return nil, err
-	}
 	// The base point runs through the simulated job backend — the same
 	// estimator dnnsched schedules against — so a scenario's simulated
 	// throughput and a sched run's completion times come from one model.
-	js := &job.Spec{
-		Name:      spec.Name,
-		Model:     spec.Job.Model,
-		Framework: spec.Job.Framework,
-		Platform:  spec.Job.CPU,
-		Nodes:     spec.Fleet.Nodes,
-		PPN:       spec.Fleet.PPN,
-		Batch:     spec.Job.BatchPerProc,
-		Steps:     spec.Job.Steps,
-		Seed:      spec.Seed,
-	}
-	if err := js.Validate(); err != nil {
+	js := spec.JobSpec()
+	res, err := job.NewSimBackend().Run(&job.RunContext{Spec: js})
+	if err != nil {
 		return nil, err
 	}
-	res, err := job.NewSimBackend().Run(&job.RunContext{Spec: *js})
+	cfg, err := js.SimConfig()
 	if err != nil {
 		return nil, err
 	}
 	base := *res.Sim
-	cfg := trainsim.Config{
-		Model:        spec.Job.Model,
-		Framework:    spec.Job.Framework,
-		CPU:          cpu,
-		Nodes:        spec.Fleet.Nodes,
-		PPN:          spec.Fleet.PPN,
-		BatchPerProc: spec.Job.BatchPerProc,
-		Seed:         spec.Seed,
-	}
 	oc := &outcome{spec: spec, sim: &base, throughput: base.ImagesPerSec}
 	oc.log("scenario %s seed=%d", spec.Name, spec.Seed)
 	oc.log("fleet ranks=%d transport=trainsim nodes=%d ppn=%d",
-		spec.Fleet.Ranks, spec.Fleet.Nodes, spec.Fleet.PPN)
+		js.Ranks(), js.Nodes, js.PPN)
 	oc.log("job kind=trainsim model=%s framework=%s cpu=%s batch=%d",
-		spec.Job.Model, spec.Job.Framework, spec.Job.CPU, spec.Job.BatchPerProc)
+		js.Model, js.Framework, js.Platform, js.Batch)
 	// The simulator is pure math on the seed, so its floats replay
 	// bit-for-bit and may appear in the deterministic log.
 	oc.log("sim images_per_sec=%.2f iter_ms=%.3f global_batch=%d",
@@ -716,7 +662,7 @@ func runTrainsim(spec *Spec, opts Options) (*outcome, error) {
 		reg := telemetry.New()
 		sres, serr := trainsim.SimulateStraggler(trainsim.StragglerConfig{
 			Sim:        cfg,
-			Steps:      spec.Job.Steps,
+			Steps:      js.Steps,
 			SlowRank:   ev.Rank,
 			SlowFactor: ev.Factor,
 			Telemetry:  reg,
@@ -745,18 +691,7 @@ func runTrainsim(spec *Spec, opts Options) (*outcome, error) {
 // every placement/preemption decision — so the scheduler's own event log
 // (virtual timestamps included) goes into the replay record verbatim.
 func runSched(spec *Spec, opts Options) (*outcome, error) {
-	sc := spec.Sched
-	w := &job.Workload{
-		Name: spec.Name,
-		Seed: spec.Seed,
-		Cluster: job.ClusterSpec{
-			Platform:     sc.Platform,
-			Nodes:        sc.Nodes,
-			SlotsPerNode: sc.SlotsPerNode,
-		},
-		NoPreempt: sc.NoPreempt,
-		Synth:     &job.SynthSpec{Jobs: sc.Jobs, Tenants: sc.Tenants},
-	}
+	w := spec.workload()
 	reg := telemetry.New()
 	rep, err := job.RunSim(w, job.NewSimBackend(), reg)
 	if err != nil {
@@ -765,9 +700,9 @@ func runSched(spec *Spec, opts Options) (*outcome, error) {
 	oc := &outcome{spec: spec, sched: rep}
 	oc.log("scenario %s seed=%d", spec.Name, spec.Seed)
 	oc.log("cluster platform=%s nodes=%d slots_per_node=%d",
-		sc.Platform, sc.Nodes, sc.SlotsPerNode)
+		w.Cluster.Platform, w.Cluster.Nodes, w.Cluster.SlotsPerNode)
 	oc.log("job kind=sched jobs=%d tenants=%d no_preempt=%t",
-		sc.Jobs, sc.Tenants, sc.NoPreempt)
+		rep.Jobs, len(rep.Tenants), w.NoPreempt)
 	oc.eventLog = append(oc.eventLog, rep.EventLog...)
 	oc.log("sched done=%d evicted=%d failed=%d preemptions=%d deadlocks=%d utilization=%.4f",
 		rep.Done, rep.Evicted, rep.Failed, rep.Preemptions, rep.Deadlocks, rep.Utilization)

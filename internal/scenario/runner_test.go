@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -13,12 +14,10 @@ import (
 const killRankYAML = `
 name: kill_replay
 seed: 4242
-fleet:
-  ranks: 3
-  transport: inproc
-  recv_timeout: 500ms
+transport: inproc
 job:
-  kind: train
+  ppn: 3
+  recv_timeout: 500ms
   steps: 6
   batch: 4
   elastic: true
@@ -81,16 +80,15 @@ func TestKillRankReplayDeterministic(t *testing.T) {
 const regrowYAML = `
 name: regrow_replay
 seed: 777
-fleet:
-  ranks: 3
-  transport: inproc
-  recv_timeout: 250ms
+transport: inproc
 job:
-  kind: train
+  ppn: 3
+  recv_timeout: 250ms
   steps: 8
   batch: 4
   elastic: true
   ckpt_every: 2
+  regrow_wait: 30s
 timeline:
   - at_step: 3
     action: kill_rank
@@ -139,6 +137,32 @@ func TestRegrowReplayDeterministic(t *testing.T) {
 	}
 }
 
+// TestRerunSameOutDir runs the regrow scenario twice into one output
+// directory: the second run must start from an empty checkpoint directory,
+// not cold-resume from the first run's final checkpoint, so the kill and
+// the regrow fire again and the event logs match.
+func TestRerunSameOutDir(t *testing.T) {
+	dir := t.TempDir()
+	var logs [2][]byte
+	for i := range logs {
+		spec, err := Parse([]byte(regrowYAML))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := Run(spec, Options{OutDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Pass {
+			t.Errorf("run %d failed: %+v", i+1, rep.Asserts)
+		}
+		logs[i] = rep.EventLogBytes()
+	}
+	if !bytes.Equal(logs[0], logs[1]) {
+		t.Errorf("event logs differ across reruns into one -out:\n--- run 1 ---\n%s--- run 2 ---\n%s", logs[0], logs[1])
+	}
+}
+
 // stormYAML is the multi-event storm: a 5-rank in-process job loses TWO
 // ranks after the same step — the surviving 3-of-5 majority must absorb
 // both deaths (in one recovery round or two, depending on detection
@@ -147,16 +171,15 @@ func TestRegrowReplayDeterministic(t *testing.T) {
 const stormYAML = `
 name: storm_replay
 seed: 1313
-fleet:
-  ranks: 5
-  transport: inproc
-  recv_timeout: 500ms
+transport: inproc
 job:
-  kind: train
+  ppn: 5
+  recv_timeout: 500ms
   steps: 10
   batch: 4
   elastic: true
   ckpt_every: 2
+  regrow_wait: 30s
 timeline:
   - at_step: 3
     action: kill_rank
@@ -217,10 +240,8 @@ func TestDuplicateKillRejected(t *testing.T) {
 	const dup = `
 name: dup_kill
 seed: 1
-fleet:
-  ranks: 3
 job:
-  kind: train
+  ppn: 3
   steps: 8
   elastic: true
 timeline:
@@ -241,13 +262,14 @@ timeline:
 const schedYAML = `
 name: sched_replay
 seed: 2024
-job:
-  kind: sched
-sched:
-  nodes: 4
-  slots_per_node: 8
-  jobs: 120
-  tenants: 3
+kind: sched
+workload:
+  cluster:
+    nodes: 4
+    slots_per_node: 8
+  synth:
+    jobs: 120
+    tenants: 3
 asserts:
   - check: sched_complete
   - check: utilization_min
@@ -282,18 +304,17 @@ func TestSchedReplayDeterministic(t *testing.T) {
 const faultSoakYAML = `
 name: fault_replay
 seed: 31337
-fleet:
-  ranks: 4
-  transport: inproc
-  recv_timeout: 250ms
+kind: collectives
+transport: inproc
+vec_elems: 1024
 job:
-  kind: collectives
+  ppn: 4
+  recv_timeout: 250ms
   allreduce_alg: ring
-  vec_elems: 1024
-  rounds: 8
-faults:
-  delay_prob: 0.2
-  delay: 1ms
+  steps: 8
+  faults:
+    delay_prob: 0.2
+    delay: 1ms
 timeline:
   - at_step: 4
     action: set_faults
@@ -351,12 +372,11 @@ func TestTrainsimDeterministic(t *testing.T) {
 	const src = `
 name: sim_replay
 seed: 9
-fleet:
-  transport: trainsim
+kind: trainsim
+job:
   nodes: 4
   ppn: 2
-job:
-  kind: trainsim
+  batch: 32
   steps: 12
 timeline:
   - action: straggle
@@ -396,5 +416,35 @@ func TestLibraryScenariosValid(t *testing.T) {
 		if _, err := Load(path); err != nil {
 			t.Errorf("%s: %v", path, err)
 		}
+	}
+}
+
+// TestLibraryReplayGolden runs the library's fast, fully deterministic
+// entries — a collectives soak, a simulated fleet and a scheduler run, one
+// per kind whose defaults live in the job schema — and compares each event
+// log byte for byte with the one recorded in testdata/, so a change to the
+// schema or its defaults that moves a run fails here.
+func TestLibraryReplayGolden(t *testing.T) {
+	for _, name := range []string{"drop_soak", "straggler_fleet", "sched_cluster"} {
+		t.Run(name, func(t *testing.T) {
+			spec, err := Load(filepath.Join("..", "..", "scenarios", name+".yaml"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := Run(spec, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", name+".log"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Pass {
+				t.Errorf("verdict FAIL: %+v", rep.Asserts)
+			}
+			if got := rep.EventLogBytes(); !bytes.Equal(got, want) {
+				t.Errorf("event log differs from testdata/%s.log:\n--- got ---\n%s", name, got)
+			}
+		})
 	}
 }

@@ -1,136 +1,54 @@
-// Package scenario is the declarative chaos harness: a scenario file
-// declares a fleet, a training job, a timeline of seeded fault events and a
-// list of assertions, and the runner executes it end to end against the
-// functional stack (inproc or TCP transports, elastic supervised training,
-// the fault-injection transport, the straggler detector) or the
-// discrete-event simulator for large fleets. Runs are deterministic from
-// the scenario seed: the same file run twice produces byte-identical event
-// logs, which is what makes a chaos failure replayable instead of
-// anecdotal.
+// Package scenario is the declarative chaos harness: a scenario file is a
+// job — the job.Spec schema `mpirun -job` runs, or for the scheduler the
+// job.Workload schema `dnnsched -workload` reads — plus a timeline of seeded
+// fault events and a list of assertions. The runner executes it end to end
+// against the functional stack (inproc or TCP transports, elastic supervised
+// training, the fault-injection transport, the straggler detector) or the
+// discrete-event simulator for large fleets. The job's shape and its
+// defaults belong to internal/job; the harness owns what runs it (kind,
+// transport), the identity it stamps into the job (name, seed) and the
+// timeline. Runs are deterministic from the scenario seed: the same file run
+// twice produces byte-identical event logs, which is what makes a chaos
+// failure replayable instead of anecdotal.
 package scenario
 
 import (
 	"fmt"
-	"time"
 
 	"dnnperf/internal/job"
-	"dnnperf/internal/yamlite"
 )
-
-// Duration aliases the shared yamlite.Duration: a time.Duration that
-// unmarshals from either a Go duration string ("250ms", "2s") or a bare
-// JSON number of seconds, so scenario files can write `at: 2s` and
-// `recv_timeout: 0.5` interchangeably.
-type Duration = yamlite.Duration
 
 // Spec is one scenario file: what to run, what to break, what must hold.
 type Spec struct {
-	// Name identifies the scenario in reports and logs.
+	// Name identifies the scenario in reports and logs, and names its job.
 	Name        string `json:"name"`
 	Description string `json:"description,omitempty"`
 	// Seed drives every random stream in the run (fault injection, data
-	// sharding, simulator jitter). Two runs with the same seed replay the
-	// same event sequence.
-	Seed  int64 `json:"seed"`
-	Fleet Fleet `json:"fleet"`
-	Job   Job   `json:"job"`
-	// Sched configures a "sched" job: the simulated cluster and synthetic
-	// multi-tenant workload the dnnsched control plane schedules.
-	Sched *Sched `json:"sched,omitempty"`
-	// Faults is the initial fault-rate template applied to every rank's
-	// transport; nil starts clean. A set_faults timeline event swaps it
-	// mid-run.
-	Faults   *Faults  `json:"faults,omitempty"`
+	// sharding, simulator jitter) and is the job's and the workload's seed.
+	// Two runs with the same seed replay the same event sequence.
+	Seed int64 `json:"seed"`
+	// Kind is "train" (default: real supervised SGD through the Horovod
+	// engine), "collectives" (a direct allreduce soak on the raw comm layer,
+	// one round per job step), "trainsim" (the analytical simulator) or
+	// "sched" (a workload through the dnnsched gang scheduler on the
+	// discrete-event clock).
+	Kind string `json:"kind,omitempty"`
+	// Transport is the live kinds' transport: "inproc" (default) or "tcp"
+	// (real loopback sockets).
+	Transport string `json:"transport,omitempty"`
+	// Job is what every kind but sched runs, in the job.Spec schema: the rank
+	// count is nodes × ppn, and recv_timeout, faults, platform and batch live
+	// here. The harness sets the job's name and seed, kills and restarts come
+	// from the timeline, and checkpoints go under the run's output directory.
+	Job job.Spec `json:"job"`
+	// Workload is a sched scenario's input, in the job.Workload schema.
+	Workload *job.Workload `json:"workload,omitempty"`
+	// VecElems is a collectives soak's vector length in float32 elements
+	// (default 2048).
+	VecElems int      `json:"vec_elems,omitempty"`
 	Timeline []Event  `json:"timeline,omitempty"`
 	Asserts  []Assert `json:"asserts,omitempty"`
 }
-
-// Sched declares a cluster-scheduling scenario: a synthetic job stream
-// pushed through the dnnsched gang scheduler on the discrete-event clock.
-// Everything is derived from the scenario seed, so the scheduler's event
-// log and per-tenant report replay byte-identically.
-type Sched struct {
-	// Platform names the hw catalog entry backing the simulated nodes
-	// (default Skylake-1).
-	Platform string `json:"platform,omitempty"`
-	// Nodes/SlotsPerNode shape the cluster (defaults 4 nodes x 8 slots).
-	Nodes        int `json:"nodes,omitempty"`
-	SlotsPerNode int `json:"slots_per_node,omitempty"`
-	// Jobs is the synthetic stream length (default 200); Tenants the number
-	// of tenants it is spread across (default 3).
-	Jobs    int `json:"jobs,omitempty"`
-	Tenants int `json:"tenants,omitempty"`
-	// NoPreempt disables priority preemption, for A/B runs.
-	NoPreempt bool `json:"no_preempt,omitempty"`
-}
-
-// Fleet declares the ranks and the transport they run on.
-type Fleet struct {
-	// Ranks is the job size (ignored for trainsim, where Nodes*PPN rules).
-	Ranks int `json:"ranks,omitempty"`
-	// Transport is "inproc" (default), "tcp" (real loopback sockets) or
-	// "trainsim" (the discrete-event simulator; no live transport).
-	Transport string `json:"transport,omitempty"`
-	// RecvTimeout bounds each Recv so faults convert to typed errors
-	// instead of hangs. Zero takes the job fleet's per-transport default
-	// (500ms inproc, 1s tcp).
-	RecvTimeout Duration `json:"recv_timeout,omitempty"`
-	// Nodes/PPN shape the simulated cluster for trainsim fleets.
-	Nodes int `json:"nodes,omitempty"`
-	PPN   int `json:"ppn,omitempty"`
-}
-
-// Job declares the work the fleet performs.
-type Job struct {
-	// Kind is "train" (default: real supervised SGD through the Horovod
-	// engine), "collectives" (a direct allreduce soak on the raw comm
-	// layer), "trainsim" (the analytical simulator) or "sched" (a synthetic
-	// multi-tenant workload through the dnnsched gang scheduler).
-	Kind string `json:"kind,omitempty"`
-	// Steps is the global step budget (train), synthesized steps
-	// (trainsim straggler runs) — default 8.
-	Steps int `json:"steps,omitempty"`
-	// Batch is the per-rank minibatch for train jobs (default 4).
-	Batch int `json:"batch,omitempty"`
-	// CycleTime is the Horovod engine cycle time (default 300µs).
-	CycleTime Duration `json:"cycle_time,omitempty"`
-	// Elastic marks the job as expecting failures: kill/partition events
-	// should end in recovery, not in a dead run. Training always runs
-	// supervised; the flag is the job.Spec one — the recovery budget (2
-	// rank losses; a rigid job fails typed on the first) and the default
-	// for CkptEvery.
-	Elastic bool `json:"elastic,omitempty"`
-	// CkptEvery is the checkpoint period in steps (default 2 for elastic
-	// jobs, 0 otherwise).
-	CkptEvery int `json:"ckpt_every,omitempty"`
-	// AllreduceAlg forces the collective algorithm: "auto", "ring",
-	// "recursive_doubling".
-	AllreduceAlg string `json:"allreduce_alg,omitempty"`
-	// SegmentBytes sets the ring pipelining segment size (0 = default).
-	SegmentBytes int `json:"segment_bytes,omitempty"`
-	// RegrowWait keeps finished ranks lingering while the world is smaller
-	// than it started, so a late rejoiner (a healed partition, a
-	// restart_rank event) is still admitted. Defaults to 30s when the
-	// timeline carries a restart_rank/rejoin event or a heal of an elastic
-	// job, 0 otherwise.
-	RegrowWait Duration `json:"regrow_wait,omitempty"`
-
-	// Collectives jobs: vector length in float32 elements (default 2048)
-	// and number of allreduce rounds (default 5).
-	VecElems int `json:"vec_elems,omitempty"`
-	Rounds   int `json:"rounds,omitempty"`
-
-	// Trainsim jobs: experiment point (defaults: resnet50, tensorflow,
-	// Skylake-1, batch 32).
-	Model        string `json:"model,omitempty"`
-	Framework    string `json:"framework,omitempty"`
-	CPU          string `json:"cpu,omitempty"`
-	BatchPerProc int    `json:"batch_per_proc,omitempty"`
-}
-
-// Faults is the job schema's fault-rate template (see mpi.FaultConfig); the
-// per-rank random streams are derived from the scenario seed.
-type Faults = job.Faults
 
 // Event is one timeline entry: when to fire, and what to do.
 //
@@ -146,15 +64,18 @@ type Faults = job.Faults
 //	               time at): the target blocks all its sends, every peer
 //	               blocks sends toward it.
 //	heal         — undo a partition around rank.
-//	straggle     — from step at_step on, slow rank's compute by factor
-//	               (sleeps (factor-1)x the step's measured compute time).
+//	straggle     — from step at_step (default 1) on, slow rank's compute by
+//	               factor (default 2: sleeps (factor-1)x the step's measured
+//	               compute time).
 //	set_faults   — swap every rank's fault-rate template for faults.
 type Event struct {
-	// At triggers on wall-clock time from run start (partition, heal,
-	// set_faults only — wall-clock kills would not replay).
-	At Duration `json:"at,omitempty"`
+	// At triggers on wall-clock time from run start: partition, heal and
+	// set_faults of train jobs only — a wall-clock kill would not replay, and
+	// the other kinds have no clock running beside their steps.
+	At job.Duration `json:"at,omitempty"`
 	// AtStep triggers when a rank completes global step AtStep (for
-	// collectives jobs: before round AtStep).
+	// collectives jobs: before round AtStep). An event sets at most one of
+	// At and AtStep.
 	AtStep int64  `json:"at_step,omitempty"`
 	Action string `json:"action"`
 	// Rank is the event's target (kill_rank, partition, heal, straggle).
@@ -162,7 +83,7 @@ type Event struct {
 	// Factor is the straggle slowdown multiplier (> 1).
 	Factor float64 `json:"factor,omitempty"`
 	// Faults is the template a set_faults event installs.
-	Faults *Faults `json:"faults,omitempty"`
+	Faults *job.Faults `json:"faults,omitempty"`
 }
 
 // Assert is one postcondition checked after the run.
@@ -190,7 +111,7 @@ type Event struct {
 //	step_time_p50_max  — the median per-rank step time (train.step_ns by
 //	                     default, or histogram `metric`) stays <= `within`.
 //	world_size_final   — every surviving supervised rank ended on a world
-//	                     of `value` ranks (0 = the fleet's full size): the
+//	                     of `value` ranks (0 = the job's full size): the
 //	                     regrow brought everyone back.
 //	regrown_within     — every surviving supervised rank took part in a
 //	                     regrow, each within `within` wall time.
@@ -204,12 +125,12 @@ type Event struct {
 //	utilization_min    — cluster slot utilization >= value (0..1).
 //	preemptions_min    — the scheduler performed >= value preemptions.
 type Assert struct {
-	Check  string   `json:"check"`
-	Within Duration `json:"within,omitempty"`
-	Value  float64  `json:"value,omitempty"`
-	Rank   int      `json:"rank,omitempty"`
-	Metric string   `json:"metric,omitempty"`
-	Equals string   `json:"equals,omitempty"`
+	Check  string       `json:"check"`
+	Within job.Duration `json:"within,omitempty"`
+	Value  float64      `json:"value,omitempty"`
+	Rank   int          `json:"rank,omitempty"`
+	Metric string       `json:"metric,omitempty"`
+	Equals string       `json:"equals,omitempty"`
 }
 
 // Actions and checks the validator accepts.
@@ -232,131 +153,127 @@ var (
 	}
 )
 
-// withDefaults fills the spec's zero values with the documented defaults
-// and returns the effective rank count.
-func (s *Spec) withDefaults() {
-	if s.Fleet.Transport == "" {
-		s.Fleet.Transport = "inproc"
-	}
-	if s.Job.Kind == "" {
-		s.Job.Kind = "train"
-	}
-	if s.Job.Steps <= 0 {
-		s.Job.Steps = 8
-	}
-	if s.Job.Batch <= 0 {
-		s.Job.Batch = 4
-	}
-	if s.Job.CycleTime <= 0 {
-		s.Job.CycleTime = Duration(300 * time.Microsecond)
-	}
-	if s.Job.Elastic && s.Job.CkptEvery <= 0 {
-		s.Job.CkptEvery = 2
-	}
-	if s.Job.Kind == "collectives" {
-		if s.Job.VecElems <= 0 {
-			s.Job.VecElems = 2048
-		}
-		if s.Job.Rounds <= 0 {
-			s.Job.Rounds = 5
-		}
-	}
-	if s.Job.Kind == "trainsim" {
-		if s.Fleet.Nodes <= 0 {
-			s.Fleet.Nodes = 2
-		}
-		if s.Fleet.PPN <= 0 {
-			s.Fleet.PPN = 1
-		}
-		s.Fleet.Ranks = s.Fleet.Nodes * s.Fleet.PPN
-		if s.Job.Model == "" {
-			s.Job.Model = "resnet50"
-		}
-		if s.Job.Framework == "" {
-			s.Job.Framework = "tensorflow"
-		}
-		if s.Job.CPU == "" {
-			s.Job.CPU = "Skylake-1"
-		}
-		if s.Job.BatchPerProc <= 0 {
-			s.Job.BatchPerProc = 32
-		}
-		s.Job.Steps = max(s.Job.Steps, 2)
-	} else if s.Job.Kind != "sched" && s.Fleet.Ranks <= 0 {
-		s.Fleet.Ranks = 2
-	}
-	if s.Job.Kind == "sched" {
-		if s.Sched == nil {
-			s.Sched = &Sched{}
-		}
-		if s.Sched.Platform == "" {
-			s.Sched.Platform = "Skylake-1"
-		}
-		if s.Sched.Nodes <= 0 {
-			s.Sched.Nodes = 4
-		}
-		if s.Sched.SlotsPerNode <= 0 {
-			s.Sched.SlotsPerNode = 8
-		}
-		if s.Sched.Jobs <= 0 {
-			s.Sched.Jobs = 200
-		}
-		if s.Sched.Tenants <= 0 {
-			s.Sched.Tenants = 3
-		}
-	}
-	// Straggle events default to firing from step 1.
-	for i := range s.Timeline {
-		ev := &s.Timeline[i]
-		if ev.Action == "straggle" && ev.AtStep <= 0 {
-			ev.AtStep = 1
-		}
-		if ev.Action == "straggle" && ev.Factor <= 1 {
-			ev.Factor = 2.0
-		}
-	}
-	// A timeline that regrows the world needs the survivors to stick around
-	// for the admission even when it lands after their final step.
-	if s.Job.RegrowWait == 0 {
-		for _, ev := range s.Timeline {
-			if ev.Action == "restart_rank" || ev.Action == "rejoin" ||
-				(ev.Action == "heal" && s.Job.Elastic) {
-				s.Job.RegrowWait = Duration(30 * time.Second)
-				break
-			}
-		}
-	}
+// JobSpec is the job the scenario runs: its job block with the scenario's
+// name and seed stamped in and the job schema's own defaults applied.
+func (s *Spec) JobSpec() job.Spec {
+	js := s.Job
+	js.Name, js.Seed = s.Name, s.Seed
+	js.WithDefaults()
+	return js
 }
 
-// Validate applies defaults and rejects specs the runner cannot execute.
+// workload is a sched scenario's input with the scenario's name and seed
+// stamped in.
+func (s *Spec) workload() *job.Workload {
+	w := *s.Workload
+	w.Name, w.Seed = s.Name, s.Seed
+	return &w
+}
+
+// harnessOwned rejects the job and workload keys the harness sets itself,
+// naming what replaces each in a scenario file.
+func (s *Spec) harnessOwned() error {
+	w := s.Workload
+	if w == nil {
+		w = &job.Workload{}
+	}
+	for _, k := range []struct {
+		set       bool
+		key, with string
+	}{
+		{s.Job.Name != "", "job.name", "the scenario name"},
+		{s.Job.Seed != 0, "job.seed", "the scenario seed"},
+		{s.Job.CkptDir != "", "job.ckpt_dir", "scenario run -out"},
+		{s.Job.DieRank != nil || s.Job.DieStep != 0, "job.die_rank/die_step", "a kill_rank timeline event"},
+		{s.Job.Regrow, "job.regrow", "a restart_rank timeline event"},
+		{w.Name != "", "workload.name", "the scenario name"},
+		{w.Seed != 0, "workload.seed", "the scenario seed"},
+	} {
+		if k.set {
+			return fmt.Errorf("scenario %s: %s is set by the harness; use %s", s.Name, k.key, k.with)
+		}
+	}
+	return nil
+}
+
+// unusedKeys rejects job keys the scenario's kind never reads, instead of
+// silently ignoring them: a scenario job is never queued, so the
+// scheduler's keys have no meaning, and live kinds train the TinyCNN
+// micro-model whatever the simulated workload names.
+func (s *Spec) unusedKeys() error {
+	j := s.Job
+	for _, k := range []struct {
+		set       bool
+		key, with string
+	}{
+		{j.Tenant != "" || j.Priority != 0 || j.SubmitAt != 0 || j.Deadline != 0,
+			"job.tenant/priority/submit_at/deadline", "a sched scenario's workload"},
+		{s.Kind != "trainsim" && (j.Model != "" || j.Framework != "" || j.Platform != ""),
+			"job.model/framework/platform", "a trainsim scenario"},
+	} {
+		if k.set {
+			return fmt.Errorf("scenario %s: %s is unused by %s scenarios; it belongs in %s", s.Name, k.key, s.Kind, k.with)
+		}
+	}
+	return nil
+}
+
+// Validate applies the harness's own defaults (kind, transport, vec_elems,
+// the straggle trigger and factor) and rejects specs the runner cannot
+// execute. The job and workload blocks stay as written: their defaults are
+// the job schema's, applied where they are rendered.
 func (s *Spec) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("scenario: missing name")
 	}
-	s.withDefaults()
-	switch s.Fleet.Transport {
-	case "inproc", "tcp", "trainsim":
-	default:
-		return fmt.Errorf("scenario %s: unknown transport %q (want inproc, tcp or trainsim)", s.Name, s.Fleet.Transport)
+	if s.Kind == "" {
+		s.Kind = "train"
 	}
-	switch s.Job.Kind {
-	case "train", "collectives":
-		if s.Fleet.Transport == "trainsim" {
-			return fmt.Errorf("scenario %s: job kind %q needs a live transport, not trainsim", s.Name, s.Job.Kind)
+	live := s.Kind == "train" || s.Kind == "collectives"
+	if live && s.Transport == "" {
+		s.Transport = "inproc"
+	}
+	if s.Kind == "collectives" && s.VecElems <= 0 {
+		s.VecElems = 2048
+	}
+	switch {
+	case !live && s.Kind != "trainsim" && s.Kind != "sched":
+		return fmt.Errorf("scenario %s: unknown kind %q (want train, collectives, trainsim or sched)", s.Name, s.Kind)
+	case live && s.Transport != "inproc" && s.Transport != "tcp":
+		return fmt.Errorf("scenario %s: unknown transport %q (want inproc or tcp)", s.Name, s.Transport)
+	case !live && s.Transport != "":
+		return fmt.Errorf("scenario %s: %s scenarios run on no live transport; drop transport", s.Name, s.Kind)
+	case s.Kind != "collectives" && s.VecElems != 0:
+		return fmt.Errorf("scenario %s: vec_elems applies to collectives scenarios", s.Name)
+	}
+	if err := s.harnessOwned(); err != nil {
+		return err
+	}
+	if s.Kind == "sched" {
+		switch {
+		case s.Job != (job.Spec{}):
+			return fmt.Errorf("scenario %s: sched scenarios declare their jobs under workload, not job", s.Name)
+		case s.Workload == nil:
+			return fmt.Errorf("scenario %s: sched scenarios need a workload", s.Name)
+		case len(s.Timeline) > 0:
+			return fmt.Errorf("scenario %s: sched scenarios take their whole event stream from the seed and support no timeline", s.Name)
 		}
-		if s.Fleet.Ranks < 2 {
-			return fmt.Errorf("scenario %s: %s jobs need >= 2 ranks, got %d", s.Name, s.Job.Kind, s.Fleet.Ranks)
+		if err := s.workload().Validate(); err != nil {
+			return fmt.Errorf("scenario %s: %w", s.Name, err)
 		}
-	case "trainsim":
-		if s.Fleet.Transport != "trainsim" {
-			return fmt.Errorf("scenario %s: trainsim jobs run on the trainsim transport", s.Name)
-		}
-	case "sched":
-		if len(s.Timeline) > 0 {
-			return fmt.Errorf("scenario %s: sched jobs take their whole event stream from the seed and support no timeline", s.Name)
-		}
-	default:
-		return fmt.Errorf("scenario %s: unknown job kind %q (want train, collectives, trainsim or sched)", s.Name, s.Job.Kind)
+	} else if s.Workload != nil {
+		return fmt.Errorf("scenario %s: workload applies to sched scenarios", s.Name)
+	}
+	if err := s.unusedKeys(); err != nil {
+		return err
+	}
+	js := s.JobSpec()
+	if err := js.Validate(); err != nil {
+		return fmt.Errorf("scenario %s: %w", s.Name, err)
+	}
+	ranks := js.Ranks()
+	if live && ranks < 2 {
+		return fmt.Errorf("scenario %s: %s jobs need >= 2 ranks (job.nodes x job.ppn), got %d", s.Name, s.Kind, ranks)
 	}
 	// A second kill_rank for the same rank would silently shadow the first
 	// (one process cannot crash twice); a storm kills distinct ranks.
@@ -370,20 +287,29 @@ func (s *Spec) Validate() error {
 		}
 		killed[ev.Rank] = true
 	}
-	for i, ev := range s.Timeline {
+	for i := range s.Timeline {
+		ev := &s.Timeline[i]
 		if !validActions[ev.Action] {
 			return fmt.Errorf("scenario %s: timeline[%d]: unknown action %q", s.Name, i, ev.Action)
+		}
+		if ev.At > 0 {
+			if ev.AtStep > 0 {
+				return fmt.Errorf("scenario %s: timeline[%d]: set at most one of at and at_step", s.Name, i)
+			}
+			if s.Kind != "train" || (ev.Action != "partition" && ev.Action != "heal" && ev.Action != "set_faults") {
+				return fmt.Errorf("scenario %s: timeline[%d]: wall-clock at applies only to partition, heal and set_faults of train jobs; use at_step", s.Name, i)
+			}
 		}
 		switch ev.Action {
 		case "kill_rank":
 			if ev.AtStep < 1 {
 				return fmt.Errorf("scenario %s: timeline[%d]: kill_rank needs at_step >= 1 (wall-clock kills do not replay)", s.Name, i)
 			}
-			if ev.AtStep >= int64(s.Job.Steps) {
-				return fmt.Errorf("scenario %s: timeline[%d]: kill_rank at_step %d must precede the %d-step budget", s.Name, i, ev.AtStep, s.Job.Steps)
+			if ev.AtStep >= int64(js.Steps) {
+				return fmt.Errorf("scenario %s: timeline[%d]: kill_rank at_step %d must precede the %d-step budget", s.Name, i, ev.AtStep, js.Steps)
 			}
 		case "restart_rank", "rejoin":
-			if s.Job.Kind != "train" {
+			if s.Kind != "train" {
 				return fmt.Errorf("scenario %s: timeline[%d]: %s applies to train jobs", s.Name, i, ev.Action)
 			}
 			if ev.AtStep < 1 {
@@ -403,8 +329,14 @@ func (s *Spec) Validate() error {
 				return fmt.Errorf("scenario %s: timeline[%d]: %s needs at_step or at", s.Name, i, ev.Action)
 			}
 		case "straggle":
-			if s.Job.Kind == "collectives" {
+			if s.Kind == "collectives" {
 				return fmt.Errorf("scenario %s: timeline[%d]: straggle applies to train and trainsim jobs", s.Name, i)
+			}
+			if ev.AtStep <= 0 {
+				ev.AtStep = 1
+			}
+			if ev.Factor <= 1 {
+				ev.Factor = 2.0
 			}
 		case "set_faults":
 			if ev.Faults == nil {
@@ -414,10 +346,16 @@ func (s *Spec) Validate() error {
 				return fmt.Errorf("scenario %s: timeline[%d]: set_faults needs at_step or at", s.Name, i)
 			}
 		}
-		if ev.Rank < 0 || (ev.Action != "set_faults" && ev.Rank >= s.Fleet.Ranks) {
-			return fmt.Errorf("scenario %s: timeline[%d]: rank %d out of range [0,%d)", s.Name, i, ev.Rank, s.Fleet.Ranks)
+		// A regrow needs the survivors to linger for the admission even when
+		// it lands after their final step.
+		regrows := ev.Action == "restart_rank" || ev.Action == "rejoin" || (ev.Action == "heal" && js.Elastic)
+		if regrows && js.RegrowWait <= 0 {
+			return fmt.Errorf("scenario %s: timeline[%d]: %s regrows the world; set job.regrow_wait so survivors wait for the joiner", s.Name, i, ev.Action)
 		}
-		if s.Job.Kind == "trainsim" && ev.Action != "straggle" {
+		if ev.Rank < 0 || (ev.Action != "set_faults" && ev.Rank >= ranks) {
+			return fmt.Errorf("scenario %s: timeline[%d]: rank %d out of range [0,%d)", s.Name, i, ev.Rank, ranks)
+		}
+		if s.Kind == "trainsim" && ev.Action != "straggle" {
 			return fmt.Errorf("scenario %s: timeline[%d]: trainsim jobs support only straggle events", s.Name, i)
 		}
 	}
@@ -443,11 +381,11 @@ func (s *Spec) Validate() error {
 				return fmt.Errorf("scenario %s: asserts[%d]: %s needs within > 0 (the latency bound)", s.Name, i, a.Check)
 			}
 		case "straggler_flagged":
-			if a.Rank < 0 || a.Rank >= s.Fleet.Ranks {
-				return fmt.Errorf("scenario %s: asserts[%d]: rank %d out of range [0,%d)", s.Name, i, a.Rank, s.Fleet.Ranks)
+			if a.Rank < 0 || a.Rank >= ranks {
+				return fmt.Errorf("scenario %s: asserts[%d]: rank %d out of range [0,%d)", s.Name, i, a.Rank, ranks)
 			}
 		case "sched_complete", "utilization_min", "preemptions_min":
-			if s.Job.Kind != "sched" {
+			if s.Kind != "sched" {
 				return fmt.Errorf("scenario %s: asserts[%d]: %s applies to sched jobs", s.Name, i, a.Check)
 			}
 			if a.Check == "utilization_min" && (a.Value <= 0 || a.Value > 1) {
