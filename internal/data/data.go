@@ -72,16 +72,17 @@ func NewLearnable(batch, chans, size, classes int, seed int64) (*Learnable, erro
 // bright block whose position encodes the label.
 func (l *Learnable) Next() Batch {
 	b := l.Synthetic.Next()
-	blocks := l.Size * l.Size / l.Classes
+	plane := l.Size * l.Size
+	blocks := plane / l.Classes
+	px := b.Images.Data()
 	for i, lbl := range b.Labels {
-		// Brighten the lbl-th run of pixels in every channel.
-		start := lbl * blocks
+		// Brighten the lbl-th run of pixels in every channel: the run is
+		// contiguous in the row-major [H, W] plane.
 		for c := 0; c < l.Chans; c++ {
-			for j := 0; j < blocks; j++ {
-				pos := start + j
-				y, x := pos/l.Size, pos%l.Size
-				v := b.Images.At(i, c, y, x) + l.Strength
-				b.Images.Set(v, i, c, y, x)
+			start := (i*l.Chans+c)*plane + lbl*blocks
+			run := px[start : start+blocks]
+			for j := range run {
+				run[j] += l.Strength
 			}
 		}
 	}

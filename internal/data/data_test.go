@@ -1,6 +1,10 @@
 package data
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -86,5 +90,37 @@ func TestShardDistinctPerRank(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLearnableGoldenBatches pins the generator's pixels and labels: the
+// SHA-256 of the first three batches of NewLearnable(4, 3, 16, 4, seed),
+// recorded from the original At/Set implementation. A faster write path
+// must plant exactly the same pixels.
+func TestLearnableGoldenBatches(t *testing.T) {
+	want := []string{
+		"9c5595fc1fdf658545cc91a06665ba3f492ae6882098fb0b015ff19639b5c277",
+		"3a48aa77390b87b8aea449cfa030e870fad976966c7396e5e46144387ee2cbed",
+		"0b57ad0c93aa87b59e6036a45b13c98bc9e8c411a655fcd3434846926ad7f790",
+	}
+	g, err := NewLearnable(4, 3, 16, 4, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range want {
+		b := g.Next()
+		h := sha256.New()
+		var buf [4]byte
+		for _, v := range b.Images.Data() {
+			binary.LittleEndian.PutUint32(buf[:], math.Float32bits(v))
+			h.Write(buf[:])
+		}
+		for _, l := range b.Labels {
+			binary.LittleEndian.PutUint32(buf[:], uint32(l))
+			h.Write(buf[:])
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != w {
+			t.Errorf("batch %d: sha256 %s, want %s", i, got, w)
+		}
 	}
 }

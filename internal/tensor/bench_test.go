@@ -39,7 +39,7 @@ func BenchmarkMatMul256(b *testing.B) {
 }
 
 // BenchmarkMatMul512 exercises the packed/blocked path (k·n well above the
-// streaming crossover) — the acceptance benchmark for the cache-blocked
+// mmSmallKN crossover) — the acceptance benchmark for the cache-blocked
 // kernel. allocs/op stays at the output tensor only: pack panels come from
 // the scratch arena.
 func BenchmarkMatMul512(b *testing.B) {
@@ -157,4 +157,53 @@ func BenchmarkConv1x1FastPath(b *testing.B) {
 	}
 	flops := float64(ConvFLOPs(4, 256, 64, 14, 14, 1, 1))
 	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+}
+
+// BenchmarkConv2DShapes times Conv2D and Conv2DBackward on one thread at
+// batch 4 for the convolution shapes the measured workloads and the paper's
+// ResNets run: TinyCNN's three 3x3 convs at the benchmarks' 16x16 input, a
+// ResNet-style 3x3 conv at 64 channels on 8x8, and a 1x1 bottleneck
+// expansion. Backward counts two forward FLOPs (dW and dX). Outputs and
+// scratch recycle through an arena, as they do under the graph executor.
+func BenchmarkConv2DShapes(b *testing.B) {
+	pad1 := ConvSpec{KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
+	pointwise := ConvSpec{KH: 1, KW: 1, StrideH: 1, StrideW: 1}
+	shapes := []struct {
+		name     string
+		c, hw, f int
+		spec     ConvSpec
+	}{
+		{"tinycnn1", 3, 16, 16, pad1},
+		{"tinycnn2", 16, 8, 32, pad1},
+		{"tinycnn3", 32, 4, 64, pad1},
+		{"resnet3x3", 64, 8, 64, pad1},
+		{"resnet1x1", 64, 8, 256, pointwise},
+	}
+	const n = 4
+	for _, s := range shapes {
+		rng := NewRNG(9)
+		x := rng.Uniform(-1, 1, n, s.c, s.hw, s.hw)
+		k := rng.Uniform(-1, 1, s.f, s.c, s.spec.KH, s.spec.KW)
+		oh, ow := s.spec.OutSize(s.hw, s.hw)
+		dy := rng.Uniform(-1, 1, n, s.f, oh, ow)
+		flops := float64(ConvFLOPs(n, s.c, s.f, oh, ow, s.spec.KH, s.spec.KW))
+		arena := NewArena()
+		p := Serial.WithArena(arena)
+		b.Run(s.name+"/fwd", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				arena.Put(Conv2D(p, x, k, s.spec))
+			}
+			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
+		b.Run(s.name+"/bwd", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				dx, dk := Conv2DBackward(p, x, k, dy, s.spec)
+				arena.Put(dx)
+				arena.Put(dk)
+			}
+			b.ReportMetric(2*flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
+	}
 }

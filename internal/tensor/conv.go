@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // ConvSpec describes a 2-D convolution: kernel size, stride and symmetric
 // zero padding. Kernels are stored [outC, inC, KH, KW]; activations NCHW.
@@ -22,8 +19,24 @@ func (c ConvSpec) OutSize(h, w int) (oh, ow int) {
 	return oh, ow
 }
 
+// convGeom is one convolution's shape: images [C,H,W] in, F filters,
+// images [F,OH,OW] out.
+type convGeom struct {
+	spec               ConvSpec
+	c, h, w, f, oh, ow int
+}
+
+// rows is the im2col row count, one row per kernel tap: C·KH·KW.
+func (g convGeom) rows() int { return g.c * g.spec.KH * g.spec.KW }
+
+// pixels is the output pixel count per filter, OH·OW.
+func (g convGeom) pixels() int { return g.oh * g.ow }
+
 // Conv2D computes a 2-D convolution of x [N,C,H,W] with kernel
-// k [F,C,KH,KW] using im2col + matmul, parallelized over the batch.
+// k [F,C,KH,KW]: each output pixel's receptive field is gathered into a
+// row of an im2col matrix and the GEMM microkernel multiplies the kernel
+// against those rows. The batch is split across the pool, or the output
+// pixels of each image when the batch is narrower than the pool.
 func Conv2D(p *Pool, x, k *Tensor, spec ConvSpec) *Tensor {
 	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
 	f, kc := k.shape[0], k.shape[1]
@@ -38,8 +51,6 @@ func Conv2D(p *Pool, x, k *Tensor, spec ConvSpec) *Tensor {
 		panic(fmt.Sprintf("tensor: Conv2D non-positive output %dx%d for input %dx%d", oh, ow, h, w))
 	}
 	out := p.alloc(n, f, oh, ow)
-	colRows := c * spec.KH * spec.KW
-	colCols := oh * ow
 
 	if isPointwise(spec) {
 		// 1x1 stride-1 convolution is a plain matmul per image — no im2col
@@ -63,73 +74,68 @@ func Conv2D(p *Pool, x, k *Tensor, spec ConvSpec) *Tensor {
 		return out
 	}
 
+	g := convGeom{spec: spec, c: c, h: h, w: w, f: f, oh: oh, ow: ow}
+	od, xd, kd := out.data, x.data, k.data
 	if p.size == 1 {
-		cols := p.scratch(colRows * colCols)
-		conv2dImgs(out.data, x.data, k.data, cols, 0, n, c, h, w, f, spec, oh, ow)
-		p.putScratch(cols)
+		conv2dImgs(p, od, xd, kd, 0, n, g)
 		return out
 	}
 	if n < p.size {
 		// Batch parallelism runs out below the pool width (the paper's
 		// small-batch inference/latency points). Go band-parallel inside
-		// each image: split the output-pixel axis, build a band-local im2col
-		// slab, multiply into a band-local output block, and scatter its
-		// rows into place. Bands are independent, so the pool stays full.
+		// each image: split the output-pixel axis and let each band gather
+		// and multiply only its own pixels. Bands are independent, so the
+		// pool stays full.
+		inLen, outLen := c*h*w, f*g.pixels()
 		for img := 0; img < n; img++ {
-			conv2dBands(p, out.data[img*f*colCols:(img+1)*f*colCols],
-				x.data[img*c*h*w:(img+1)*c*h*w], k.data, c, h, w, f, spec, oh, ow)
+			conv2dBands(p, od[img*outLen:(img+1)*outLen], xd[img*inLen:(img+1)*inLen], kd, g)
 		}
 		return out
 	}
-	p.Run(n, 1, func(s, e int) {
-		// Per-chunk im2col scratch recycled through the arena: steady-state
-		// training steps allocate nothing here.
-		cols := p.scratch(colRows * colCols)
-		conv2dImgs(out.data, x.data, k.data, cols, s, e, c, h, w, f, spec, oh, ow)
-		p.putScratch(cols)
-	})
+	p.Run(n, 1, func(s, e int) { conv2dImgs(p, od, xd, kd, s, e, g) })
 	return out
 }
 
 // convBandGrain is the minimum output pixels per parallel band of the
-// within-image Conv2D path: enough columns that the band's matmul amortizes
-// its im2col gather and the row scatter.
+// within-image Conv2D path: enough pixels that the band's GEMM amortizes
+// its im2col gather.
 const convBandGrain = 128
 
-// conv2dBands computes one image's convolution with the output-pixel axis
-// split across the pool: each band gathers only its own im2col columns and
-// multiplies them into a compact [f, bandLen] block, which is then scattered
-// row-wise into the strided output.
-func conv2dBands(p *Pool, od, img, kd []float32, c, h, w, f int, spec ConvSpec, oh, ow int) {
-	colRows := c * spec.KH * spec.KW
-	colCols := oh * ow
-	p.Run(colCols, convBandGrain, func(cs, ce int) {
-		bandLen := ce - cs
-		cols := p.scratch(colRows * bandLen)
-		obuf := p.scratch(f * bandLen)
-		im2colBand(img, cols, c, h, w, spec, oh, ow, cs, ce)
-		matmulInto(Serial, obuf, kd, cols, f, colRows, bandLen)
-		for i := 0; i < f; i++ {
-			copy(od[i*colCols+cs:i*colCols+ce], obuf[i*bandLen:(i+1)*bandLen])
-		}
-		p.putScratch(obuf)
-		p.putScratch(cols)
+// conv2dImgs convolves images [s, e) one whole-image band at a time, with
+// im2col scratch recycled through the arena: steady-state training steps
+// allocate nothing here.
+func conv2dImgs(p *Pool, od, xd, kd []float32, s, e int, g convGeom) {
+	inLen, outLen := g.c*g.h*g.w, g.f*g.pixels()
+	colsT := p.scratch(g.pixels() * g.rows())
+	for img := s; img < e; img++ {
+		conv2dBand(od[img*outLen:(img+1)*outLen], xd[img*inLen:(img+1)*inLen], kd, colsT, g, 0, g.pixels())
+	}
+	p.putScratch(colsT)
+}
+
+// conv2dBands computes one image's convolution with its output-pixel axis
+// split across the pool.
+func conv2dBands(p *Pool, od, img, kd []float32, g convGeom) {
+	p.Run(g.pixels(), convBandGrain, func(cs, ce int) {
+		colsT := p.scratch((ce - cs) * g.rows())
+		conv2dBand(od, img, kd, colsT, g, cs, ce)
+		p.putScratch(colsT)
 	})
+}
+
+// conv2dBand computes output pixels [cs, ce) of one image: the band's
+// receptive fields become the rows of colsT [ce-cs, C·KH·KW], and the
+// microkernel writes out[:, cs:ce] = k [F, C·KH·KW] · colsTᵀ straight into
+// the image's [F, OH·OW] output.
+func conv2dBand(od, img, kd, colsT []float32, g convGeom, cs, ce int) {
+	rows := g.rows()
+	im2col(img, colsT, 1, rows, g, cs, ce)
+	gemmNT(od[cs:], g.pixels(), kd, colsT, g.f, ce-cs, rows)
 }
 
 func conv2dPointwiseImgs(od, kd, xd []float32, s, e, f, c, hw int) {
 	for img := s; img < e; img++ {
 		matmulInto(Serial, od[img*f*hw:(img+1)*f*hw], kd, xd[img*c*hw:(img+1)*c*hw], f, c, hw)
-	}
-}
-
-func conv2dImgs(od, xd, kd, cols []float32, s, e, c, h, w, f int, spec ConvSpec, oh, ow int) {
-	colRows := c * spec.KH * spec.KW
-	colCols := oh * ow
-	for img := s; img < e; img++ {
-		im2col(xd[img*c*h*w:(img+1)*c*h*w], cols, c, h, w, spec, oh, ow)
-		// out[img] = k_mat [f, colRows] @ cols [colRows, colCols]
-		matmulInto(Serial, od[img*f*oh*ow:(img+1)*f*oh*ow], kd, cols, f, colRows, colCols)
 	}
 }
 
@@ -146,124 +152,117 @@ func Conv2DBackward(p *Pool, x, k, dy *Tensor, spec ConvSpec) (dx, dk *Tensor) {
 	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
 	f := k.shape[0]
 	oh, ow := spec.OutSize(h, w)
-	colRows := c * spec.KH * spec.KW
-	colCols := oh * ow
+	g := convGeom{spec: spec, c: c, h: h, w: w, f: f, oh: oh, ow: ow}
+	rows := g.rows()
 
 	dx = p.alloc(n, c, h, w)
 	dk = p.alloc(k.shape...)
 	// Local copies keep the parallel closure from capturing the named
 	// results by reference (that would move dx and dk to the heap).
-	dxd, dkLen := dx.data, dk.Len()
+	dxd, dkd, dkLen := dx.data, dk.data, dk.Len()
+	xd, dyd := x.data, dy.data
+	// kᵀ [C·KH·KW, F], the input-gradient GEMM's left operand, once per call.
+	kT := p.scratch(rows * f)
+	transpose(kT, k.data, f, rows)
 
-	if p.size == 1 {
-		cols := p.scratch(colRows * colCols)
-		dcols := p.scratch(colRows * colCols)
-		conv2dBwdImgs(dxd, dk.data, x.data, k.data, dy.data, cols, dcols,
-			0, n, c, h, w, f, spec, oh, ow)
-		p.putScratch(cols)
-		p.putScratch(dcols)
-		return dx, dk
-	}
-
-	// Per-chunk kernel-gradient accumulators (arena scratch, zeroed) are
-	// merged under a lock at chunk end, keeping the batch loop
-	// embarrassingly parallel. Chunk-local state is mandatory here: with
-	// over-decomposition Run invokes this closure more times than the pool
-	// has workers.
-	var mu sync.Mutex
-
-	dkd := dk.data
-	p.Run(n, 1, func(s, e int) {
-		dkPart := p.scratch(dkLen)
-		cols := p.scratch(colRows * colCols)
-		dcols := p.scratch(colRows * colCols)
-		conv2dBwdImgs(dxd, dkPart, x.data, k.data, dy.data, cols, dcols,
-			s, e, c, h, w, f, spec, oh, ow)
-		mu.Lock()
-		for i, v := range dkPart {
-			if v != 0 {
+	// The batch is cut into at most one chunk per pool worker. Chunk 0
+	// accumulates its kernel gradient straight into dk, every other chunk
+	// into a private partial, and the partials are added in chunk order
+	// after Run returns, so dk does not depend on which chunk finished
+	// first.
+	chunks := min(n, p.size)
+	if chunks == 1 {
+		conv2dBwdImgs(p, dxd, dkd, xd, kT, dyd, 0, n, g)
+	} else {
+		parts := p.scratch((chunks - 1) * dkLen)
+		p.Run(chunks, 1, func(s, e int) {
+			for ch := s; ch < e; ch++ {
+				dst := dkd
+				if ch > 0 {
+					dst = parts[(ch-1)*dkLen : ch*dkLen]
+				}
+				conv2dBwdImgs(p, dxd, dst, xd, kT, dyd, ch*n/chunks, (ch+1)*n/chunks, g)
+			}
+		})
+		for ch := 1; ch < chunks; ch++ {
+			for i, v := range parts[(ch-1)*dkLen : ch*dkLen] {
 				dkd[i] += v
 			}
 		}
-		mu.Unlock()
-		p.putScratch(dkPart)
-		p.putScratch(cols)
-		p.putScratch(dcols)
-	})
+		p.putScratch(parts)
+	}
+	p.putScratch(kT)
 	return dx, dk
 }
 
 // conv2dBwdImgs processes images [s, e): dx is written per image (disjoint
 // across chunks), while kernel gradients accumulate into dkDst — the real
-// dk for serial execution, a chunk-private partial otherwise.
-func conv2dBwdImgs(dxd, dkDst, xd, kd, dyd, cols, dcols []float32, s, e, c, h, w, f int, spec ConvSpec, oh, ow int) {
-	colRows := c * spec.KH * spec.KW
-	colCols := oh * ow
+// dk for the first chunk, a chunk-private partial otherwise.
+func conv2dBwdImgs(p *Pool, dxd, dkDst, xd, kT, dyd []float32, s, e int, g convGeom) {
+	rows, pix := g.rows(), g.pixels()
+	inLen, outLen := g.c*g.h*g.w, g.f*pix
+	cols := p.scratch(rows * pix)
+	dcols := p.scratch(rows * pix)
+	dyT := p.scratch(pix * g.f)
 	for img := s; img < e; img++ {
-		im2col(xd[img*c*h*w:(img+1)*c*h*w], cols, c, h, w, spec, oh, ow)
-		dyImg := dyd[img*f*oh*ow : (img+1)*f*oh*ow]
-		// dk += dy_mat [f, colCols] @ colsᵀ [colCols, colRows]
-		for i := 0; i < f; i++ {
-			drow := dyImg[i*colCols : (i+1)*colCols]
-			dkrow := dkDst[i*colRows : (i+1)*colRows]
-			for t := 0; t < colRows; t++ {
-				crow := cols[t*colCols : (t+1)*colCols]
-				var acc float32
-				for j := range drow {
-					acc += drow[j] * crow[j]
-				}
-				dkrow[t] += acc
-			}
-		}
-		// dcols = kᵀ [colRows, f] @ dy_mat [f, colCols]
-		for i := range dcols {
-			dcols[i] = 0
-		}
-		for t := 0; t < f; t++ {
-			krow := kd[t*colRows : (t+1)*colRows]
-			drow := dyImg[t*colCols : (t+1)*colCols]
-			for r, kv := range krow {
-				if kv == 0 {
-					continue
-				}
-				dcrow := dcols[r*colCols : (r+1)*colCols]
-				for j, dv := range drow {
-					dcrow[j] += kv * dv
-				}
-			}
-		}
-		col2im(dcols, dxd[img*c*h*w:(img+1)*c*h*w], c, h, w, spec, oh, ow)
+		dyImg := dyd[img*outLen : (img+1)*outLen]
+		im2col(xd[img*inLen:(img+1)*inLen], cols, pix, 1, g, 0, pix)
+		// dk [F, rows] += dy [F, pix] · cols [rows, pix]ᵀ
+		gemmNT(dkDst, rows, dyImg, cols, g.f, rows, pix)
+		// dcols [rows, pix] = kᵀ [rows, F] · dyᵀ [pix, F]ᵀ
+		transpose(dyT, dyImg, g.f, pix)
+		clear(dcols)
+		gemmNT(dcols, pix, kT, dyT, rows, pix, g.f)
+		col2im(dcols, dxd[img*inLen:(img+1)*inLen], g)
 	}
+	p.putScratch(dyT)
+	p.putScratch(dcols)
+	p.putScratch(cols)
 }
 
-// im2col expands one image [C,H,W] into cols [C*KH*KW, OH*OW].
-func im2col(img, cols []float32, c, h, w int, spec ConvSpec, oh, ow int) {
-	colCols := oh * ow
+// im2col gathers the receptive fields of output pixels [cs, ce) of one
+// image [C,H,W]: tap r = (ch·KH+kh)·KW+kw of pixel q lands at
+// cols[r*rs + (q-cs)*ps], zero where the tap falls in the padding. rs =
+// ce-cs, ps = 1 lays out the [C·KH·KW, pixels] matrix the kernel gradient
+// reduces over; rs = 1, ps = C·KH·KW its transpose, one contiguous patch
+// per pixel, which is what the forward reduces over. The padding tests are
+// hoisted out of the pixel loop: one per output row, and per tap the span
+// of output columns that lands inside the image.
+func im2col(img, cols []float32, rs, ps int, g convGeom, cs, ce int) {
+	spec := g.spec
 	row := 0
-	for ch := 0; ch < c; ch++ {
-		chOff := ch * h * w
+	for ch := 0; ch < g.c; ch++ {
+		plane := img[ch*g.h*g.w : (ch+1)*g.h*g.w]
 		for kh := 0; kh < spec.KH; kh++ {
 			for kw := 0; kw < spec.KW; kw++ {
-				dst := cols[row*colCols : (row+1)*colCols]
-				i := 0
-				for oy := 0; oy < oh; oy++ {
+				lo, hi := tapSpan(kw, spec.PadW, spec.StrideW, g.w, g.ow)
+				d := row * rs
+				for q := cs; q < ce; {
+					oy, ox := q/g.ow, q%g.ow
+					end := min(g.ow, ox+ce-q)
+					q += end - ox
 					iy := oy*spec.StrideH + kh - spec.PadH
-					if iy < 0 || iy >= h {
-						for ox := 0; ox < ow; ox++ {
-							dst[i] = 0
-							i++
+					if iy < 0 || iy >= g.h {
+						for ; ox < end; ox++ {
+							cols[d] = 0
+							d += ps
 						}
 						continue
 					}
-					rowOff := chOff + iy*w
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*spec.StrideW + kw - spec.PadW
-						if ix < 0 || ix >= w {
-							dst[i] = 0
-						} else {
-							dst[i] = img[rowOff+ix]
-						}
-						i++
+					src := plane[iy*g.w : (iy+1)*g.w]
+					for ; ox < min(lo, end); ox++ {
+						cols[d] = 0
+						d += ps
+					}
+					ix := ox*spec.StrideW + kw - spec.PadW
+					for ; ox < min(hi, end); ox++ {
+						cols[d] = src[ix]
+						d += ps
+						ix += spec.StrideW
+					}
+					for ; ox < end; ox++ {
+						cols[d] = 0
+						d += ps
 					}
 				}
 				row++
@@ -272,56 +271,38 @@ func im2col(img, cols []float32, c, h, w int, spec ConvSpec, oh, ow int) {
 	}
 }
 
-// im2colBand expands output pixels [cs, ce) of one image into cols
-// [C*KH*KW, ce-cs] — the band-local slice of the full im2col matrix, laid
-// out compactly so the band matmul runs on contiguous rows.
-func im2colBand(img, cols []float32, c, h, w int, spec ConvSpec, oh, ow, cs, ce int) {
-	bandLen := ce - cs
-	row := 0
-	for ch := 0; ch < c; ch++ {
-		chOff := ch * h * w
-		for kh := 0; kh < spec.KH; kh++ {
-			for kw := 0; kw < spec.KW; kw++ {
-				dst := cols[row*bandLen : (row+1)*bandLen]
-				oy, ox := cs/ow, cs%ow
-				for i := 0; i < bandLen; i++ {
-					iy := oy*spec.StrideH + kh - spec.PadH
-					ix := ox*spec.StrideW + kw - spec.PadW
-					if iy < 0 || iy >= h || ix < 0 || ix >= w {
-						dst[i] = 0
-					} else {
-						dst[i] = img[chOff+iy*w+ix]
-					}
-					if ox++; ox == ow {
-						ox, oy = 0, oy+1
-					}
-				}
-				row++
-			}
-		}
+// tapSpan returns the output columns [lo, hi) whose tap at kernel offset k
+// lands inside an input of width n: 0 ≤ o·stride + k − pad < n, o < outN.
+func tapSpan(k, pad, stride, n, outN int) (lo, hi int) {
+	if pad > k {
+		lo = (pad - k + stride - 1) / stride
 	}
+	if top := n - 1 + pad - k; top >= 0 {
+		hi = min(top/stride+1, outN)
+	}
+	return min(lo, hi), hi
 }
 
 // col2im accumulates cols [C*KH*KW, OH*OW] back into an image gradient.
-func col2im(cols, img []float32, c, h, w int, spec ConvSpec, oh, ow int) {
-	colCols := oh * ow
+func col2im(cols, img []float32, g convGeom) {
+	spec, pix := g.spec, g.pixels()
 	row := 0
-	for ch := 0; ch < c; ch++ {
-		chOff := ch * h * w
+	for ch := 0; ch < g.c; ch++ {
+		chOff := ch * g.h * g.w
 		for kh := 0; kh < spec.KH; kh++ {
 			for kw := 0; kw < spec.KW; kw++ {
-				src := cols[row*colCols : (row+1)*colCols]
+				src := cols[row*pix : (row+1)*pix]
 				i := 0
-				for oy := 0; oy < oh; oy++ {
+				for oy := 0; oy < g.oh; oy++ {
 					iy := oy*spec.StrideH + kh - spec.PadH
-					if iy < 0 || iy >= h {
-						i += ow
+					if iy < 0 || iy >= g.h {
+						i += g.ow
 						continue
 					}
-					rowOff := chOff + iy*w
-					for ox := 0; ox < ow; ox++ {
+					rowOff := chOff + iy*g.w
+					for ox := 0; ox < g.ow; ox++ {
 						ix := ox*spec.StrideW + kw - spec.PadW
-						if ix >= 0 && ix < w {
+						if ix >= 0 && ix < g.w {
 							img[rowOff+ix] += src[i]
 						}
 						i++

@@ -40,6 +40,121 @@ func conv2DNaive(x, k *Tensor, spec ConvSpec) *Tensor {
 	return out
 }
 
+// conv2DBackwardNaive is the reference backward pass: the forward's direct
+// loops, each multiply-add routed to the kernel and input gradients, in
+// float64.
+func conv2DBackwardNaive(x, k, dy *Tensor, spec ConvSpec) (dx, dk *Tensor) {
+	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
+	f := k.Dim(0)
+	oh, ow := spec.OutSize(h, w)
+	dx64 := make([]float64, x.Len())
+	dk64 := make([]float64, k.Len())
+	xd, kd, dyd := x.Data(), k.Data(), dy.Data()
+	for img := 0; img < n; img++ {
+		for of := 0; of < f; of++ {
+			for oy := 0; oy < oh; oy++ {
+				for ox := 0; ox < ow; ox++ {
+					g := float64(dyd[((img*f+of)*oh+oy)*ow+ox])
+					for ch := 0; ch < c; ch++ {
+						for ky := 0; ky < spec.KH; ky++ {
+							iy := oy*spec.StrideH + ky - spec.PadH
+							if iy < 0 || iy >= h {
+								continue
+							}
+							for kx := 0; kx < spec.KW; kx++ {
+								ix := ox*spec.StrideW + kx - spec.PadW
+								if ix < 0 || ix >= w {
+									continue
+								}
+								xi := ((img*c+ch)*h+iy)*w + ix
+								ki := ((of*c+ch)*spec.KH+ky)*spec.KW + kx
+								dk64[ki] += g * float64(xd[xi])
+								dx64[xi] += g * float64(kd[ki])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	dx, dk = New(x.Shape()...), New(k.Shape()...)
+	for i, v := range dx64 {
+		dx.Data()[i] = float32(v)
+	}
+	for i, v := range dk64 {
+		dk.Data()[i] = float32(v)
+	}
+	return dx, dk
+}
+
+// TestConv2DMatchesReferenceOddShapes runs forward, dW and dX against the
+// direct loops on the shapes where a tiled kernel's edges show: one input
+// channel, 3 or 5 filters (not a multiple of the tile), fewer than four
+// output pixels, stride 2 without padding, non-square inputs and kernels.
+// Each runs serially and on a 3-wide pool, which covers the batch-parallel
+// paths (n ≥ 3) and the band-parallel forward (n < 3).
+func TestConv2DMatchesReferenceOddShapes(t *testing.T) {
+	s2p0 := func(kh, kw int) ConvSpec { return ConvSpec{KH: kh, KW: kw, StrideH: 2, StrideW: 2} }
+	cases := []struct {
+		name          string
+		n, c, h, w, f int
+		spec          ConvSpec
+	}{
+		{"c1-f3-s2p0", 3, 1, 7, 5, 3, s2p0(3, 3)},
+		{"f5-3pix", 4, 2, 5, 9, 5, s2p0(5, 5)},
+		{"1pix", 3, 3, 4, 4, 3, s2p0(3, 3)},
+		{"c1-f5-rect-kernel", 5, 1, 9, 6, 5, ConvSpec{KH: 3, KW: 5, StrideH: 1, StrideW: 1, PadH: 1, PadW: 2}},
+		{"pointwise", 4, 3, 6, 7, 5, ConvSpec{KH: 1, KW: 1, StrideH: 1, StrideW: 1}},
+		{"bands", 2, 2, 24, 21, 3, ConvSpec{KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}},
+		{"bands-s2", 1, 1, 13, 11, 5, s2p0(3, 3)},
+	}
+	pool := NewPool(3)
+	defer pool.Close()
+	for _, tc := range cases {
+		rng := NewRNG(int64(tc.n*100 + tc.h))
+		x := rng.Uniform(-1, 1, tc.n, tc.c, tc.h, tc.w)
+		k := rng.Uniform(-1, 1, tc.f, tc.c, tc.spec.KH, tc.spec.KW)
+		oh, ow := tc.spec.OutSize(tc.h, tc.w)
+		dy := rng.Uniform(-1, 1, tc.n, tc.f, oh, ow)
+		wantY := conv2DNaive(x, k, tc.spec)
+		wantDX, wantDK := conv2DBackwardNaive(x, k, dy, tc.spec)
+		for _, p := range []*Pool{Serial, pool} {
+			y := Conv2D(p, x, k, tc.spec)
+			dx, dk := Conv2DBackward(p, x, k, dy, tc.spec)
+			for _, r := range []struct {
+				what      string
+				got, want *Tensor
+			}{{"y", y, wantY}, {"dx", dx, wantDX}, {"dk", dk, wantDK}} {
+				if d := r.got.MaxAbsDiff(r.want); d > 1e-4 {
+					t.Errorf("%s pool=%d: %s differs from reference by %g", tc.name, p.Size(), r.what, d)
+				}
+			}
+		}
+	}
+}
+
+// TestConv2DBackwardPoolDeterministic: the pooled backward adds the
+// per-chunk kernel-gradient partials in chunk order, so repeated calls
+// give bit-identical dk whichever chunk finishes first.
+func TestConv2DBackwardPoolDeterministic(t *testing.T) {
+	rng := NewRNG(23)
+	spec := ConvSpec{KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
+	x := rng.Uniform(-1, 1, 8, 4, 6, 6)
+	k := rng.Uniform(-1, 1, 5, 4, 3, 3)
+	dy := rng.Uniform(-1, 1, 8, 5, 6, 6)
+	p := NewPool(4)
+	defer p.Close()
+	_, first := Conv2DBackward(p, x, k, dy, spec)
+	for run := 0; run < 20; run++ {
+		_, dk := Conv2DBackward(p, x, k, dy, spec)
+		for i, v := range dk.Data() {
+			if v != first.Data()[i] {
+				t.Fatalf("run %d: dk[%d] = %v, first run %v", run, i, v, first.Data()[i])
+			}
+		}
+	}
+}
+
 func TestConv2DMatchesNaive(t *testing.T) {
 	rng := NewRNG(11)
 	p := NewPool(4)
@@ -417,7 +532,7 @@ func TestConv2DSmallBatchMatchesSerial(t *testing.T) {
 	}{
 		// 30x30 output = 900 pixels: multiple convBandGrain bands per image.
 		{"general-3x3", 2, 3, 30, 30, 8, ConvSpec{KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}},
-		// Strided + asymmetric padding exercises im2colBand's edge handling.
+		// Strided + asymmetric padding exercises im2col's band edge handling.
 		{"general-5x3-stride2", 1, 2, 29, 31, 4, ConvSpec{KH: 5, KW: 3, StrideH: 2, StrideW: 2, PadH: 2, PadW: 0}},
 		// Output smaller than one band: degenerate single-band case.
 		{"general-tiny", 1, 2, 6, 6, 3, ConvSpec{KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}},

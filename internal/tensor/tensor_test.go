@@ -184,17 +184,22 @@ func TestMatMulTransposedVariants(t *testing.T) {
 		t.Fatalf("MatMulTA diff %g", d)
 	}
 
-	c := rng.Uniform(-1, 1, 5, 6)  // [m, k]
-	dm := rng.Uniform(-1, 1, 4, 6) // [n, k]
-	got2 := MatMulTB(p, c, dm)
-	dt := New(6, 4)
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 6; j++ {
-			dt.Set(dm.At(i, j), j, i)
+	// The second shape has enough columns for MatMulTB to split them
+	// across the pool.
+	for _, dims := range [][3]int{{5, 6, 4}, {7, 37, 50}} {
+		m, k, n := dims[0], dims[1], dims[2]
+		c := rng.Uniform(-1, 1, m, k)  // [m, k]
+		dm := rng.Uniform(-1, 1, n, k) // [n, k]
+		got2 := MatMulTB(p, c, dm)
+		dt := New(k, n)
+		for i := 0; i < n; i++ {
+			for j := 0; j < k; j++ {
+				dt.Set(dm.At(i, j), j, i)
+			}
 		}
-	}
-	if d := got2.MaxAbsDiff(matmulNaive(c, dt)); d > 1e-4 {
-		t.Fatalf("MatMulTB diff %g", d)
+		if d := got2.MaxAbsDiff(matmulNaive(c, dt)); d > 1e-4 {
+			t.Fatalf("MatMulTB %v diff %g", dims, d)
+		}
 	}
 }
 
