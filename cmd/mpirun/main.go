@@ -340,10 +340,9 @@ func runWorker(rankStr string, cfg workerConfig) (int, error) {
 	if cfg.joiner {
 		dial = mpi.RejoinTCP
 	}
-	raw, err := dial(rank, spec.Ranks(), root, "127.0.0.1:0", mpi.TCPOptions{
-		RecvTimeout: spec.RecvTimeout.D(),
-		Telemetry:   reg,
-	})
+	opts := spec.TCPOptions()
+	opts.Telemetry = reg
+	raw, err := dial(rank, spec.Ranks(), root, "127.0.0.1:0", opts)
 	if err != nil {
 		return exitFailure, err
 	}
@@ -591,7 +590,7 @@ func startLive(comm *mpi.Comm, rank int, cfg workerConfig, reg *telemetry.Regist
 	l := &liveState{health: telemetry.NewHealth(), linger: cfg.linger}
 	var sink func([]byte) error
 	if rank == 0 {
-		det := detect.New(detect.Config{}, reg, tracer)
+		det := detect.New(reg, tracer)
 		l.srv = serve.New(serve.NewStore(0), l.health, det)
 		l.srv.SetFlightRecorder(tracer.FlightRecorder(), 0)
 		addr, err := l.srv.Start(cfg.listen)

@@ -36,9 +36,9 @@
 package dnnperf
 
 import (
+	"fmt"
 	"io"
 
-	"dnnperf/internal/core"
 	"dnnperf/internal/hw"
 	"dnnperf/internal/models"
 	"dnnperf/internal/runner"
@@ -91,10 +91,10 @@ type ResultTable = runner.Table
 type Experiment = runner.Experiment
 
 // TunedConfig is the outcome of a configuration search.
-type TunedConfig = core.TunedConfig
+type TunedConfig = runner.TunedConfig
 
 // Insight is one Section IX headline ratio (paper vs measured).
-type Insight = core.Insight
+type Insight = runner.Insight
 
 // The hardware catalog (Table I platforms, comparison GPUs, interconnects).
 var (
@@ -180,31 +180,60 @@ func NodesFor(cfg SimConfig, targetIPS float64, maxNodes int) (int, error) {
 }
 
 // RunExperiment regenerates one table or figure by ID (e.g. "fig6a").
-func RunExperiment(id string) (*ResultTable, error) { return core.RunExperiment(id) }
+func RunExperiment(id string) (*ResultTable, error) { return RunExperimentOn(nil, id) }
 
 // RunExperimentOn is RunExperiment with harness telemetry (runner.* wall
 // times) recorded into m; nil m leaves the run unobserved.
 func RunExperimentOn(m *Metrics, id string) (*ResultTable, error) {
-	return core.RunExperimentOn(m, id)
+	e, err := runner.Get(id)
+	if err != nil {
+		return nil, err
+	}
+	return runner.RunOn(e, m)
 }
 
 // ExperimentIDs lists every reproducible artifact in paper order.
-func ExperimentIDs() []string { return core.ExperimentIDs() }
+func ExperimentIDs() []string { return runner.IDs() }
 
 // Experiments returns the full experiment registry in paper order.
 func Experiments() []Experiment { return runner.All() }
 
 // RunAll regenerates the full suite, rendering every table to w.
-func RunAll(w io.Writer) error { return core.RunAll(w) }
+func RunAll(w io.Writer) error { return RunAllOn(nil, w) }
 
 // RunAllOn is RunAll with per-experiment telemetry recorded into m.
-func RunAllOn(m *Metrics, w io.Writer) error { return core.RunAllOn(m, w) }
+func RunAllOn(m *Metrics, w io.Writer) error {
+	for _, e := range runner.All() {
+		t, err := runner.RunOn(e, m)
+		if err != nil {
+			return fmt.Errorf("dnnperf: %s: %w", e.ID, err)
+		}
+		t.Render(w)
+		fmt.Fprintln(w)
+	}
+	return nil
+}
 
 // WriteReport regenerates the full suite as a markdown report.
-func WriteReport(w io.Writer) error { return core.WriteReport(w) }
+func WriteReport(w io.Writer) error { return WriteReportOn(nil, w) }
 
 // WriteReportOn is WriteReport with per-experiment telemetry recorded into m.
-func WriteReportOn(m *Metrics, w io.Writer) error { return core.WriteReportOn(m, w) }
+func WriteReportOn(m *Metrics, w io.Writer) error {
+	fmt.Fprintln(w, "# dnnperf reproduction report")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "Regenerated tables for every artifact of \"Performance Characterization")
+	fmt.Fprintln(w, "of DNN Training using TensorFlow and PyTorch on Modern Clusters\"")
+	fmt.Fprintln(w, "(CLUSTER 2019), plus this reproduction's extension studies.")
+	fmt.Fprintln(w)
+	for _, e := range runner.All() {
+		t, err := runner.RunOn(e, m)
+		if err != nil {
+			return fmt.Errorf("dnnperf: %s: %w", e.ID, err)
+		}
+		t.RenderMarkdown(w)
+	}
+	return nil
+}
 
 // RecordSimMetrics exports one simulation result's headline numbers into m
 // on the shared metric names (sim.*), so simulated and measured runs can be
@@ -227,11 +256,11 @@ func RecordSimMetrics(m *Metrics, r SimResult) {
 // BestConfig searches ppn/threads for the best configuration of a model on
 // a platform — the paper's tuning methodology, automated.
 func BestConfig(model, framework string, p Platform, nodes, batchPerProc int) (TunedConfig, error) {
-	return core.BestConfig(model, framework, p, nodes, batchPerProc)
+	return runner.BestConfig(model, framework, p, nodes, batchPerProc)
 }
 
 // KeyInsights computes the paper's Section IX headline ratios.
-func KeyInsights() ([]Insight, error) { return core.KeyInsights() }
+func KeyInsights() ([]Insight, error) { return runner.KeyInsights() }
 
 // ModelNames lists the available DNN architectures.
 func ModelNames() []string { return models.Names() }

@@ -124,3 +124,55 @@ func TestFacadePipelineAndMemory(t *testing.T) {
 		t.Fatalf("NodesFor: %d %v", n, err)
 	}
 }
+
+func TestRunExperimentByID(t *testing.T) {
+	tbl, err := RunExperiment("table1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tbl.ID != "table1" {
+		t.Fatalf("got %q", tbl.ID)
+	}
+	if _, err := RunExperiment("fig0"); err == nil {
+		t.Fatal("unknown experiment must error")
+	}
+}
+
+func TestExperimentIDsComplete(t *testing.T) {
+	ids := ExperimentIDs()
+	if len(ids) < 25 {
+		t.Fatalf("only %d experiments registered", len(ids))
+	}
+}
+
+func TestWriteReport(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full suite in -short mode")
+	}
+	var sb strings.Builder
+	if err := WriteReport(&sb); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	for _, want := range []string{"# dnnperf reproduction report", "### fig17", "### ablations"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("report missing %q", want)
+		}
+	}
+}
+
+func TestRunAllRenders(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full suite in -short mode")
+	}
+	var sb strings.Builder
+	if err := RunAll(&sb); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	for _, id := range ExperimentIDs() {
+		if !strings.Contains(out, id+" — ") {
+			t.Fatalf("RunAll output missing %s", id)
+		}
+	}
+}

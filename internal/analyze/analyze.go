@@ -133,10 +133,10 @@ type Report struct {
 	Steps []StepReport `json:"steps"`
 
 	Totals     Decomposition `json:"totals"`
-	WallUS     int64         `json:"wall_us"`              // Σ accounted wall across ranks
-	CoverageMn int64         `json:"coverage_permille"`    // attributed / wall, in ‰
-	EffMn      int64         `json:"efficiency_permille"`  // compute / wall, in ‰ (vs 1-rank ideal)
-	CommFracMn int64         `json:"comm_frac_permille"`   // exposed comm / wall, in ‰
+	WallUS     int64         `json:"wall_us"`             // Σ accounted wall across ranks
+	CoverageMn int64         `json:"coverage_permille"`   // attributed / wall, in ‰
+	EffMn      int64         `json:"efficiency_permille"` // compute / wall, in ‰ (vs 1-rank ideal)
+	CommFracMn int64         `json:"comm_frac_permille"`  // exposed comm / wall, in ‰
 	Bottleneck Bottleneck    `json:"bottleneck"`
 	PerRank    []RankTotal   `json:"per_rank"`
 

@@ -77,7 +77,6 @@ func (n *Node) Consumers() int { return n.consumers }
 type Graph struct {
 	Nodes []*Node
 	vars  []*Node
-	ins   []*Node
 }
 
 // New returns an empty graph.
@@ -87,7 +86,6 @@ func New() *Graph { return &Graph{} }
 func (g *Graph) Input(name string, shape ...int) *Node {
 	n := &Node{ID: len(g.Nodes), Name: name, Kind: KindInput, shape: append([]int(nil), shape...)}
 	g.Nodes = append(g.Nodes, n)
-	g.ins = append(g.ins, n)
 	return n
 }
 
@@ -143,9 +141,6 @@ func (g *Graph) Apply(op Op, name string, inputs ...*Node) *Node {
 
 // Variables returns the graph's trainable parameters in creation order.
 func (g *Graph) Variables() []*Node { return g.vars }
-
-// InputsOf returns the graph's placeholder nodes in creation order.
-func (g *Graph) InputsOf() []*Node { return g.ins }
 
 // ParamCount returns the total number of trainable scalar parameters.
 func (g *Graph) ParamCount() int64 {

@@ -49,12 +49,6 @@ type Config struct {
 	// leader ring + broadcast) with this many consecutive ranks per group —
 	// the MVAPICH2-on-a-cluster topology where a group is one node.
 	GroupSize int
-	// SegmentBytes is the ring-allreduce pipelining segment size applied to
-	// the engine's communicator (0 = mpi.DefaultSegmentBytes). A fused
-	// batch's gradients are serialized segment-by-segment straight from the
-	// tensors into pooled wire frames, so this knob trades per-frame
-	// overhead against reduce/transfer overlap.
-	SegmentBytes int
 	// Telemetry, when set, backs the engine's profiling counters with this
 	// registry (horovod.* metrics). Stats() reads the same handles, so the
 	// exported values are identical to the snapshot by construction. Nil
@@ -223,9 +217,6 @@ func NewEngine(comm *mpi.Comm, cfg Config) *Engine {
 	}
 	if cfg.Timeline {
 		e.tl = newTimeline(cfg.Tracer)
-	}
-	if e.cfg.SegmentBytes > 0 {
-		comm.SetSegmentBytes(e.cfg.SegmentBytes)
 	}
 	// Arm cross-rank causal tracing whenever a tracer is present: collective
 	// frames carry a TraceCtx and the merged trace gains send->recv flow

@@ -518,8 +518,23 @@ func TestFusedBatchMatchesConcatenatedRing(t *testing.T) {
 	// whole set is negotiated, and fused, as one batch.
 	var ready sync.WaitGroup
 	ready.Add(n)
-	cfg := Config{CycleTime: 50 * time.Millisecond, Average: true, SegmentBytes: 256}
-	stats := runEngines(t, n, cfg, func(r int, e *Engine) error {
+	// The communicator carries the segment size, so it is set before the
+	// engine's loop starts using it.
+	cfg := Config{CycleTime: 50 * time.Millisecond, Average: true}
+	stats := make([]Stats, n)
+	fw, err := mpi.NewWorld(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.Run(func(c *mpi.Comm) (err error) {
+		c.SetSegmentBytes(256)
+		r, e := c.Rank(), NewEngine(c, cfg)
+		defer func() {
+			if serr := e.Shutdown(); err == nil {
+				err = serr
+			}
+			stats[r] = e.Stats()
+		}()
 		data := map[string][]float32{}
 		for _, name := range names {
 			data[name] = input(r, name)
@@ -550,7 +565,9 @@ func TestFusedBatchMatchesConcatenatedRing(t *testing.T) {
 			}
 		}
 		return nil
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	for r, s := range stats {
 		if s.MaxFusedTensors != len(names) {
 			t.Fatalf("rank %d: batch split (MaxFusedTensors %d), the comparison needs one fused batch", r, s.MaxFusedTensors)

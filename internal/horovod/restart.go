@@ -74,9 +74,6 @@ func (e *Engine) Restart(comm *mpi.Comm) *Engine {
 		announceGrowEpoch: -1,
 		gotGrowEpoch:      -1,
 	}
-	if ne.cfg.SegmentBytes > 0 {
-		comm.SetSegmentBytes(ne.cfg.SegmentBytes)
-	}
 	ne.step.Store(e.step.Load())
 	comm.SetFlowTracer(ne.tracer)
 	go ne.loop()

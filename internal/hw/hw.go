@@ -181,16 +181,6 @@ func ByLabel(label string) (CPU, error) {
 	return CPU{}, fmt.Errorf("hw: unknown CPU label %q", label)
 }
 
-// GPUByLabel looks up a GPU by label.
-func GPUByLabel(label string) (GPU, error) {
-	for _, g := range []GPU{K80, P100, V100} {
-		if g.Label == label {
-			return g, nil
-		}
-	}
-	return GPU{}, fmt.Errorf("hw: unknown GPU label %q", label)
-}
-
 // PlatformFor returns the Platform for a CPU label.
 func PlatformFor(label string) (Platform, error) {
 	switch label {

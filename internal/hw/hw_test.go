@@ -77,14 +77,6 @@ func TestPeakOrdering(t *testing.T) {
 }
 
 func TestGPULookupAndOrdering(t *testing.T) {
-	for _, l := range []string{"K80", "P100", "V100"} {
-		if _, err := GPUByLabel(l); err != nil {
-			t.Fatalf("%s: %v", l, err)
-		}
-	}
-	if _, err := GPUByLabel("A100"); err == nil {
-		t.Fatal("unknown GPU must error")
-	}
 	if !(V100.EffGFLOPs(64) > P100.EffGFLOPs(64) && P100.EffGFLOPs(64) > K80.EffGFLOPs(64)) {
 		t.Fatal("GPU generation ordering wrong")
 	}

@@ -1,6 +1,8 @@
 package job
 
 import (
+	"time"
+
 	"dnnperf/internal/data"
 	"dnnperf/internal/horovod"
 	"dnnperf/internal/hw"
@@ -127,6 +129,17 @@ func (s *Spec) WrapComm(raw *mpi.Comm, fc mpi.FaultConfig, reg *telemetry.Regist
 		comm.SetSegmentBytes(s.SegmentBytes)
 	}
 	return comm, ft, nil
+}
+
+// TCPOptions renders the spec's deadlines for the TCP transport, the same
+// for a Fleet's tcp gang and an mpirun worker process: a zero RecvTimeout
+// becomes 1s, and Close waits 200ms for peer goodbyes.
+func (s *Spec) TCPOptions() mpi.TCPOptions {
+	rt := s.RecvTimeout.D()
+	if rt == 0 {
+		rt = time.Second
+	}
+	return mpi.TCPOptions{RecvTimeout: rt, DrainTimeout: 200 * time.Millisecond}
 }
 
 // FaultConfig renders the spec's fault template for one transport, anchored

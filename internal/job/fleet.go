@@ -38,8 +38,8 @@ type Fleet struct {
 
 // NewFleet stages spec's gang over transport "inproc" (goroutines over an
 // in-process world) or "tcp" (real loopback sockets, the transport mpirun's
-// worker processes use). A zero spec.RecvTimeout becomes the transport's
-// default: 500ms inproc, 1s tcp.
+// worker processes use). A zero spec.RecvTimeout becomes 500ms inproc;
+// tcp deadlines are spec.TCPOptions.
 func NewFleet(spec *Spec, transport string) (*Fleet, error) {
 	n := spec.Ranks()
 	f := &Fleet{
@@ -47,10 +47,10 @@ func NewFleet(spec *Spec, transport string) (*Fleet, error) {
 		comms:  make([]*mpi.Comm, n),
 		faults: make([]*mpi.FaultTransport, n),
 	}
-	rt := spec.RecvTimeout.D()
 	raw := make([]*mpi.Comm, n)
 	switch transport {
 	case "inproc":
+		rt := spec.RecvTimeout.D()
 		if rt == 0 {
 			rt = 500 * time.Millisecond
 		}
@@ -63,10 +63,7 @@ func NewFleet(spec *Spec, transport string) (*Fleet, error) {
 		}
 		f.rejoin = func(rank int) (*mpi.Comm, error) { return w.Rejoin(rank), nil }
 	case "tcp":
-		if rt == 0 {
-			rt = time.Second
-		}
-		opts := mpi.TCPOptions{RecvTimeout: rt, DrainTimeout: 200 * time.Millisecond}
+		opts := spec.TCPOptions()
 		var err error
 		if raw, err = mpi.StartLocalTCPJobOpts(n, opts); err != nil {
 			return nil, err

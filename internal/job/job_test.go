@@ -82,6 +82,27 @@ func TestSpecDefaultsAndValidate(t *testing.T) {
 	}
 }
 
+// TestTCPOptionsRendered pins the TCP deadlines a spec renders, the ones a
+// Fleet's tcp gang and an mpirun worker process both dial with.
+func TestTCPOptionsRendered(t *testing.T) {
+	for _, tc := range []struct {
+		yaml string
+		want time.Duration
+	}{
+		{"name: demo\n", time.Second},
+		{"name: demo\nrecv_timeout: 300ms\n", 300 * time.Millisecond},
+	} {
+		spec, err := ParseSpec([]byte(tc.yaml))
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := spec.TCPOptions()
+		if opts.RecvTimeout != tc.want || opts.DrainTimeout != 200*time.Millisecond {
+			t.Errorf("%q: recv %v drain %v, want recv %v drain 200ms", tc.yaml, opts.RecvTimeout, opts.DrainTimeout, tc.want)
+		}
+	}
+}
+
 func TestHandleTransitions(t *testing.T) {
 	h := &Handle{Spec: Spec{Name: "x"}}
 	for _, next := range []State{Admitted, Running, Preempting, Pending, Regrowing, Running, Done} {

@@ -104,6 +104,83 @@ func TestShrinkDerivedCommInheritsTuning(t *testing.T) {
 	}
 }
 
+// TestGrowAndRejoinDerivedCommsInheritTuning pins the contract through
+// regrow: a member's grown communicator keeps its shrunk parent's tuning,
+// and a joiner's keeps that of the root communicator it rejoined through.
+// The communicator is the only carrier of the segment size, so a regrown
+// world must not fall back to the default.
+func TestGrowAndRejoinDerivedCommsInheritTuning(t *testing.T) {
+	w, err := NewWorldOpts(3, WorldOptions{RecvTimeout: 60 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tune := func(c *Comm) *Comm {
+		if err := c.SetAllreduceAlg(AlgRing); err != nil {
+			t.Fatal(err)
+		}
+		c.SetSegmentBytes(4096)
+		return c
+	}
+	origin := map[int]*Comm{0: tune(w.Comm(0)), 1: tune(w.Comm(1))}
+	jl, err := ListenJoins(origin[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	shrunk := make(map[int]*Comm)
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for r, c := range origin {
+		wg.Add(1)
+		go func(r int, c *Comm) {
+			defer wg.Done()
+			nc, _, err := c.Shrink([]int{2}, ShrinkOptions{Epoch: 0})
+			if err != nil {
+				t.Errorf("rank %d: shrink: %v", r, err)
+			}
+			mu.Lock()
+			shrunk[r] = nc
+			mu.Unlock()
+		}(r, c)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+
+	c2 := tune(w.Rejoin(2))
+	type joined struct {
+		c   *Comm
+		err error
+	}
+	joinCh := make(chan joined, 1)
+	go func() {
+		nc, _, _, err := Rejoin(c2, RejoinOptions{Epoch: -1, Seed: 7, Timeout: 5 * time.Second})
+		joinCh <- joined{c: nc, err: err}
+	}()
+	reqs := drainUntil(t, jl, 1, shrunk[0].RootMembers(), 2*time.Second)
+	grown, gerrs := growAll(t, shrunk, 0, reqs, GrowOptions{Epoch: 1})
+	for r, err := range gerrs {
+		if err != nil {
+			t.Fatalf("rank %d: grow: %v", r, err)
+		}
+	}
+	j := <-joinCh
+	if j.err != nil {
+		t.Fatalf("rejoin: %v", j.err)
+	}
+	for r, c := range map[int]*Comm{0: grown[0], 1: grown[1], 2: j.c} {
+		if c.Size() != 3 {
+			t.Fatalf("root %d: grown comm size %d, want 3", r, c.Size())
+		}
+		if got := c.AllreduceAlgorithm(); got != AlgRing {
+			t.Errorf("root %d: grown alg %v, want %v", r, got, AlgRing)
+		}
+		if got := c.SegmentBytes(); got != 4096 {
+			t.Errorf("root %d: grown segment %d, want 4096", r, got)
+		}
+	}
+}
+
 // TestShrinkDemotesRecursiveDoublingOnNonPow2 pins the derive exception: a
 // recursive-doubling parent shrinking to a non-power-of-two survivor set
 // falls back to AlgAuto instead of inheriting an algorithm every Allreduce

@@ -47,23 +47,11 @@ type GrowOptions struct {
 	// Epoch namespaces the protocol's tags and the resulting communicator,
 	// sharing the shrink epoch space. Must be in [0, 4096).
 	Epoch int
-	// ProbeAttempts is how many consecutive Recv timeouts declare a member
-	// silent during propose/ack (default 3).
-	ProbeAttempts int
-	// ConnectTimeout bounds the wait for each joiner's transport connection
-	// during the connect phase (default 5s).
-	ConnectTimeout time.Duration
 }
 
-func (o GrowOptions) withDefaults() GrowOptions {
-	if o.ProbeAttempts <= 0 {
-		o.ProbeAttempts = 3
-	}
-	if o.ConnectTimeout <= 0 {
-		o.ConnectTimeout = 5 * time.Second
-	}
-	return o
-}
+// connectTimeout bounds each wait for a transport connection after an
+// admit: a member awaiting a joiner's dial, or a joiner dialing a member.
+const connectTimeout = 5 * time.Second
 
 func growXor(epoch int) uint32 {
 	return 0x10000000 ^ (uint32(epoch+1) * 0xc2b2ae35)
@@ -159,7 +147,6 @@ func probeRecv(c *Comm, peer int, tag uint32, attempts int) ([]byte, error) {
 // must be fresh (never used by a Shrink or Grow on this job). On error the
 // current communicator c remains valid.
 func (c *Comm) Grow(joiners []JoinRequest, opts GrowOptions) (*Comm, []int, error) {
-	opts = opts.withDefaults()
 	if opts.Epoch < 0 || opts.Epoch >= maxShrinkEpoch {
 		return nil, nil, fmt.Errorf("mpi: grow epoch %d out of range [0,%d): %w",
 			opts.Epoch, maxShrinkEpoch, ErrEpochExhausted)
@@ -182,7 +169,7 @@ func (c *Comm) Grow(joiners []JoinRequest, opts GrowOptions) (*Comm, []int, erro
 			}
 		}
 		for peer := 1; peer < p; peer++ {
-			b, err := probeRecv(c, peer, tag(1), opts.ProbeAttempts)
+			b, err := probeRecv(c, peer, tag(1), probeAttempts)
 			if err != nil {
 				return nil, nil, &PeerError{Rank: peer, Op: OpGrow, Err: err}
 			}
@@ -191,7 +178,7 @@ func (c *Comm) Grow(joiners []JoinRequest, opts GrowOptions) (*Comm, []int, erro
 			}
 		}
 	} else {
-		b, err := probeRecv(c, 0, tag(0), opts.ProbeAttempts)
+		b, err := probeRecv(c, 0, tag(0), probeAttempts)
 		if err != nil {
 			return nil, nil, &PeerError{Rank: 0, Op: OpGrow, Err: err}
 		}
@@ -263,7 +250,7 @@ func (c *Comm) Grow(joiners []JoinRequest, opts GrowOptions) (*Comm, []int, erro
 	// lose connections (in-process) skip this.
 	if canRejoin {
 		for _, j := range joiners {
-			if err := rj.ReadmitWait(j.Root, opts.ConnectTimeout); err != nil {
+			if err := rj.ReadmitWait(j.Root, connectTimeout); err != nil {
 				return nil, nil, &PeerError{Rank: j.Root, Op: OpGrow, Err: err}
 			}
 		}
@@ -303,17 +290,8 @@ type RejoinOptions struct {
 	Addr string
 	// Timeout bounds the whole admission loop (default 30s).
 	Timeout time.Duration
-	// ReplyTimeout bounds each wait for the leader's reply (default 1s).
-	ReplyTimeout time.Duration
-	// BaseBackoff/MaxBackoff shape the retry schedule: exponential from
-	// BaseBackoff (default 50ms) capped at MaxBackoff (default 2s), with
-	// seeded jitter.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
 	// Seed drives the jitter stream (decorrelated per rank).
 	Seed int64
-	// ConnectTimeout bounds each post-admit dial/await (default 5s).
-	ConnectTimeout time.Duration
 	// RetryRejected treats a leader rejection ("that rank is still live")
 	// as transient: a restarted or parked process can outrun the survivors'
 	// failure detection, so the right move is to back off and ask again
@@ -326,20 +304,17 @@ func (o RejoinOptions) withDefaults() RejoinOptions {
 	if o.Timeout <= 0 {
 		o.Timeout = 30 * time.Second
 	}
-	if o.ReplyTimeout <= 0 {
-		o.ReplyTimeout = time.Second
-	}
-	if o.BaseBackoff <= 0 {
-		o.BaseBackoff = 50 * time.Millisecond
-	}
-	if o.MaxBackoff <= 0 {
-		o.MaxBackoff = 2 * time.Second
-	}
-	if o.ConnectTimeout <= 0 {
-		o.ConnectTimeout = 5 * time.Second
-	}
 	return o
 }
+
+const (
+	// rejoinReplyTimeout bounds each wait for the leader's reply.
+	rejoinReplyTimeout = time.Second
+	// The retry schedule is exponential from rejoinBaseBackoff capped at
+	// rejoinMaxBackoff, with seeded jitter.
+	rejoinBaseBackoff = 50 * time.Millisecond
+	rejoinMaxBackoff  = 2 * time.Second
+)
 
 // Rejoin runs the joiner side of the regrow protocol on c, a root-level
 // communicator for this process's original rank (World.Rejoin in-process,
@@ -359,7 +334,7 @@ func Rejoin(c *Comm, opts RejoinOptions) (*Comm, []int, int, error) {
 	rng := rand.New(rand.NewSource(opts.Seed*1000003 + int64(myRoot)))
 	deadline := time.Now().Add(opts.Timeout)
 	epoch := opts.Epoch
-	backoff := opts.BaseBackoff
+	backoff := rejoinBaseBackoff
 	var lastErr error
 	for {
 		req := encodeJoinRequest(JoinRequest{Root: myRoot, Epoch: epoch, Addr: opts.Addr})
@@ -368,7 +343,7 @@ func Rejoin(c *Comm, opts RejoinOptions) (*Comm, []int, int, error) {
 		c.Send(0, TagJoin, req)
 
 		var reply []byte
-		replyTimer := time.NewTimer(opts.ReplyTimeout)
+		replyTimer := time.NewTimer(rejoinReplyTimeout)
 		select {
 		case m := <-replies:
 			reply = m.Payload
@@ -395,7 +370,7 @@ func Rejoin(c *Comm, opts RejoinOptions) (*Comm, []int, int, error) {
 				// incarnation die; wait out its failure detection.
 				lastErr = fmt.Errorf("mpi: rejoin: rank %d: %w", myRoot, ErrRejected)
 			case status == joinAdmit:
-				nc, err := completeJoin(c, myRoot, repEpoch, members, joinerRoots, addrs, opts)
+				nc, err := completeJoin(c, myRoot, repEpoch, members, joinerRoots, addrs)
 				if err == nil {
 					return nc, members, repEpoch, nil
 				}
@@ -412,15 +387,15 @@ func Rejoin(c *Comm, opts RejoinOptions) (*Comm, []int, int, error) {
 		}
 		// Exponential backoff with seeded jitter in [backoff, 2*backoff).
 		time.Sleep(backoff + time.Duration(rng.Int63n(int64(backoff))))
-		if backoff *= 2; backoff > opts.MaxBackoff {
-			backoff = opts.MaxBackoff
+		if backoff *= 2; backoff > rejoinMaxBackoff {
+			backoff = rejoinMaxBackoff
 		}
 	}
 }
 
 // completeJoin finishes an admission: rebuild transport connections to every
 // member, derive the grown communicator, and pass the commit barrier.
-func completeJoin(c *Comm, myRoot, epoch int, members []int, joinerRoots map[int]bool, addrs []string, opts RejoinOptions) (*Comm, error) {
+func completeJoin(c *Comm, myRoot, epoch int, members []int, joinerRoots map[int]bool, addrs []string) (*Comm, error) {
 	myRank := -1
 	for i, r := range members {
 		if r == myRoot {
@@ -439,7 +414,7 @@ func completeJoin(c *Comm, myRoot, epoch int, members []int, joinerRoots map[int
 			// Joiners dial every survivor; between co-joiners the higher
 			// root rank dials the lower, and the lower awaits the dial.
 			if joinerRoots[peer] && peer > myRoot {
-				if err := rj.ReadmitWait(peer, opts.ConnectTimeout); err != nil {
+				if err := rj.ReadmitWait(peer, connectTimeout); err != nil {
 					return nil, &PeerError{Rank: peer, Op: OpJoin, Err: err}
 				}
 				continue
@@ -448,7 +423,7 @@ func completeJoin(c *Comm, myRoot, epoch int, members []int, joinerRoots map[int
 			if peer < len(addrs) {
 				addr = addrs[peer]
 			}
-			if err := rj.RedialPeer(peer, addr, opts.ConnectTimeout); err != nil {
+			if err := rj.RedialPeer(peer, addr, connectTimeout); err != nil {
 				return nil, &PeerError{Rank: peer, Op: OpJoin, Err: err}
 			}
 		}

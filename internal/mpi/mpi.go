@@ -90,9 +90,9 @@ func NewComm(ep Endpoint) *Comm { return &Comm{ep: ep} }
 
 // derive wraps ep in a sub-communicator that inherits the parent's
 // algorithm selection and segment size — pinned behavior: a
-// communicator derived by Split or Shrink must reproduce the parent's
-// tuning, so AllreduceAlgorithm() and SegmentBytes() are preserved (a
-// regression test asserts this). The one exception is a forced
+// communicator derived by Split, Shrink, Grow or Rejoin must reproduce the
+// parent's tuning, so AllreduceAlgorithm() and SegmentBytes() are
+// preserved (regression tests assert this). The one exception is a forced
 // recursive-doubling parent deriving a non-power-of-two child (e.g. a
 // 4-rank job shrinking to 3 survivors): the inherited algorithm would make
 // every Allreduce fail, so it demotes to AlgAuto. Telemetry is

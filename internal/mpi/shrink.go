@@ -37,15 +37,6 @@ type ShrinkOptions struct {
 	// Use a fresh value per recovery attempt so stale frames from earlier
 	// epochs cannot be mistaken for this one's. Must be in [0, 4096).
 	Epoch int
-	// Rounds is the number of bitmap-exchange rounds before the commit
-	// phase (default 2: one to share direct observations, one to let the
-	// union stabilize). At most 8.
-	Rounds int
-	// ProbeAttempts is how many consecutive Recv timeouts (each bounded by
-	// the transport's Recv deadline) declare a silent peer dead (default 3,
-	// covering a live survivor that is still waiting out its own
-	// collective's deadline before joining the protocol).
-	ProbeAttempts int
 	// AllowMinority disables the quorum rule: the surviving partition may
 	// form a new world even without a strict majority of the previous
 	// epoch's ranks. Only safe when an out-of-band guarantee rules out a
@@ -56,18 +47,17 @@ type ShrinkOptions struct {
 
 const maxShrinkEpoch = 1 << 12
 
-func (o ShrinkOptions) withDefaults() ShrinkOptions {
-	if o.Rounds <= 0 {
-		o.Rounds = 2
-	}
-	if o.Rounds > 8 {
-		o.Rounds = 8
-	}
-	if o.ProbeAttempts <= 0 {
-		o.ProbeAttempts = 3
-	}
-	return o
-}
+const (
+	// shrinkRounds is the number of bitmap-exchange rounds before the
+	// commit phase: one to share direct observations, one to let the union
+	// stabilize.
+	shrinkRounds = 2
+	// probeAttempts is how many consecutive Recv timeouts (each bounded by
+	// the transport's Recv deadline) declare a silent peer dead in Shrink
+	// and Grow, covering a live survivor that is still waiting out its own
+	// collective's deadline before joining the protocol.
+	probeAttempts = 3
+)
 
 // ErrEvicted reports that the other survivors agreed this rank was dead; it
 // must not rejoin the job.
@@ -81,7 +71,6 @@ var ErrEvicted = errors.New("evicted by survivor agreement")
 // the transport owner: closing the returned Comm is a no-op, aborting it
 // aborts the job.
 func (c *Comm) Shrink(suspects []int, opts ShrinkOptions) (*Comm, []int, error) {
-	opts = opts.withDefaults()
 	if opts.Epoch < 0 || opts.Epoch >= maxShrinkEpoch {
 		return nil, nil, fmt.Errorf("mpi: shrink epoch %d out of range [0,%d): %w",
 			opts.Epoch, maxShrinkEpoch, ErrEpochExhausted)
@@ -111,7 +100,7 @@ func (c *Comm) Shrink(suspects []int, opts ShrinkOptions) (*Comm, []int, error) 
 	// halves diverge on the survivor set.
 	probe := func(peer, round int) ([]byte, error) {
 		var lastErr error
-		for a := 0; a < opts.ProbeAttempts*(round+1); a++ {
+		for a := 0; a < probeAttempts*(round+1); a++ {
 			b, err := c.Recv(peer, tag(round))
 			if err == nil {
 				return b, nil
@@ -176,7 +165,7 @@ func (c *Comm) Shrink(suspects []int, opts ShrinkOptions) (*Comm, []int, error) 
 		return got, failed, nil
 	}
 
-	for round := 0; round < opts.Rounds; round++ {
+	for round := 0; round < shrinkRounds; round++ {
 		got, failed, err := exchange(round)
 		if err != nil {
 			return nil, nil, err
@@ -206,7 +195,7 @@ func (c *Comm) Shrink(suspects []int, opts ShrinkOptions) (*Comm, []int, error) 
 	// disagreeing peer here means the protocol raced a new death — fail the
 	// attempt so the caller retries with a fresh epoch.
 	final := packBitmap(dead)
-	got, failed, err := exchange(opts.Rounds)
+	got, failed, err := exchange(shrinkRounds)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -52,10 +52,11 @@ const (
 	// DefaultDrainTimeout bounds how long Close waits for peer goodbyes
 	// before dropping the sockets.
 	DefaultDrainTimeout = 150 * time.Millisecond
-	// DefaultDialBackoff is the retry interval while a peer's listener is
-	// not up yet during bootstrap.
-	DefaultDialBackoff = 20 * time.Millisecond
 )
+
+// dialBackoff is the retry interval while a peer's listener is not up yet
+// during bootstrap.
+const dialBackoff = 20 * time.Millisecond
 
 // TCPOptions configures the transport's deadlines and bootstrap. The zero
 // value means defaults everywhere; negative durations disable that deadline.
@@ -68,8 +69,6 @@ type TCPOptions struct {
 	WriteTimeout time.Duration
 	// DrainTimeout bounds Close's wait for peer goodbyes.
 	DrainTimeout time.Duration
-	// DialBackoff is the bootstrap dial retry interval.
-	DialBackoff time.Duration
 	// Listener, when set, is adopted as this rank's listener instead of
 	// binding bindAddr (rootAddr for rank 0). The endpoint takes ownership
 	// and closes it. StartLocalTCPJob uses this to hand rank 0 the live
@@ -82,7 +81,7 @@ type TCPOptions struct {
 }
 
 // countDialRetry records one bootstrap backoff. Retry loops are cold (they
-// sleep DialBackoff between attempts), so the registry lookup is fine here.
+// sleep dialBackoff between attempts), so the registry lookup is fine here.
 func (o TCPOptions) countDialRetry() {
 	if o.Telemetry != nil {
 		o.Telemetry.Counter("mpi.tcp.dial_retries").Inc()
@@ -99,7 +98,6 @@ func (o TCPOptions) withDefaults() TCPOptions {
 	def(&o.RecvTimeout, DefaultRecvTimeout)
 	def(&o.WriteTimeout, DefaultWriteTimeout)
 	def(&o.DrainTimeout, DefaultDrainTimeout)
-	def(&o.DialBackoff, DefaultDialBackoff)
 	return o
 }
 
@@ -345,7 +343,7 @@ func listenRetry(addr string, retry bool, opts TCPOptions) (net.Listener, error)
 			return ln, err
 		}
 		opts.countDialRetry()
-		time.Sleep(opts.DialBackoff)
+		time.Sleep(dialBackoff)
 	}
 }
 
@@ -428,7 +426,7 @@ func rendezvous(rank, size int, rootAddr string, ln net.Listener, opts TCPOption
 			return nil, &PeerError{Rank: 0, Op: OpRendezvous, Err: fmt.Errorf("%w dialing %s: %v", ErrTimeout, rootAddr, err)}
 		}
 		opts.countDialRetry()
-		time.Sleep(opts.DialBackoff)
+		time.Sleep(dialBackoff)
 	}
 	defer conn.Close()
 	payload := make([]byte, 4+len(ln.Addr().String()))
@@ -562,7 +560,7 @@ func (ep *tcpEndpoint) mesh(table []string) error {
 					return
 				}
 				ep.opts.countDialRetry()
-				time.Sleep(ep.opts.DialBackoff)
+				time.Sleep(dialBackoff)
 			}
 			tc := &tcpConn{c: c}
 			var hello [4]byte
@@ -843,7 +841,7 @@ func (ep *tcpEndpoint) RedialPeer(peer int, addr string, timeout time.Duration) 
 			return &PeerError{Rank: peer, Op: OpDial, Err: fmt.Errorf("%w: %v", ErrTimeout, lastErr)}
 		}
 		ep.opts.countDialRetry()
-		time.Sleep(ep.opts.DialBackoff)
+		time.Sleep(dialBackoff)
 	}
 }
 

@@ -1,7 +1,10 @@
 // Package runner is the experiment harness: it defines one runnable
 // experiment per table and figure of the reproduced paper, each producing a
 // result table with the same rows and series the paper plots (throughput in
-// images/second, speedups, or Horovod profiling counters).
+// images/second, speedups, or Horovod profiling counters). It also holds
+// the paper's practical payload: BestConfig, the search for the best
+// process/thread configuration of a model on a platform (Section IX's
+// tuning guidelines, automated).
 package runner
 
 import (

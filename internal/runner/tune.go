@@ -1,79 +1,12 @@
-// Package core is the paper's primary contribution as a library: the
-// systematic performance-characterization methodology for CPU-based DNN
-// training. It orchestrates the experiment suite (every table and figure),
-// and implements the paper's practical payload — finding the best
-// process/thread/batch configuration for a given HPC platform and model
-// (Section IX's tuning guidelines, automated).
-package core
+package runner
 
 import (
 	"fmt"
-	"io"
 
 	"dnnperf/internal/hw"
 	"dnnperf/internal/models"
-	"dnnperf/internal/runner"
-	"dnnperf/internal/telemetry"
 	"dnnperf/internal/trainsim"
 )
-
-// RunExperiment executes one table/figure reproduction by ID ("fig6a",
-// "table1", ...) and returns its result table.
-func RunExperiment(id string) (*runner.Table, error) {
-	return RunExperimentOn(nil, id)
-}
-
-// RunExperimentOn is RunExperiment with harness telemetry recorded into reg
-// (runner.experiments, runner.experiment_ns{id=...}); nil reg is unobserved.
-func RunExperimentOn(reg *telemetry.Registry, id string) (*runner.Table, error) {
-	e, err := runner.Get(id)
-	if err != nil {
-		return nil, err
-	}
-	return runner.RunOn(e, reg)
-}
-
-// ExperimentIDs lists every reproducible artifact in paper order.
-func ExperimentIDs() []string { return runner.IDs() }
-
-// RunAll executes the full suite, rendering each table to w.
-func RunAll(w io.Writer) error { return RunAllOn(nil, w) }
-
-// RunAllOn is RunAll with per-experiment telemetry recorded into reg.
-func RunAllOn(reg *telemetry.Registry, w io.Writer) error {
-	for _, e := range runner.All() {
-		t, err := runner.RunOn(e, reg)
-		if err != nil {
-			return fmt.Errorf("core: %s: %w", e.ID, err)
-		}
-		t.Render(w)
-		fmt.Fprintln(w)
-	}
-	return nil
-}
-
-// WriteReport runs the full suite and renders a self-contained markdown
-// report (the machine-generated companion to EXPERIMENTS.md).
-func WriteReport(w io.Writer) error { return WriteReportOn(nil, w) }
-
-// WriteReportOn is WriteReport with per-experiment telemetry recorded into
-// reg.
-func WriteReportOn(reg *telemetry.Registry, w io.Writer) error {
-	fmt.Fprintln(w, "# dnnperf reproduction report")
-	fmt.Fprintln(w)
-	fmt.Fprintln(w, "Regenerated tables for every artifact of \"Performance Characterization")
-	fmt.Fprintln(w, "of DNN Training using TensorFlow and PyTorch on Modern Clusters\"")
-	fmt.Fprintln(w, "(CLUSTER 2019), plus this reproduction's extension studies.")
-	fmt.Fprintln(w)
-	for _, e := range runner.All() {
-		t, err := runner.RunOn(e, reg)
-		if err != nil {
-			return fmt.Errorf("core: %s: %w", e.ID, err)
-		}
-		t.RenderMarkdown(w)
-	}
-	return nil
-}
 
 // TunedConfig is the outcome of a configuration search.
 type TunedConfig struct {
@@ -154,7 +87,7 @@ func BestConfig(model, framework string, p hw.Platform, nodes, batchPerProc int)
 		cands = append(cands, bestHere)
 	}
 	if len(cands) == 0 {
-		return TunedConfig{}, fmt.Errorf("core: no feasible configuration for %s on %s", model, p.CPU.Label)
+		return TunedConfig{}, fmt.Errorf("runner: no feasible configuration for %s on %s", model, p.CPU.Label)
 	}
 	var max float64
 	for _, c := range cands {
@@ -167,7 +100,7 @@ func BestConfig(model, framework string, p hw.Platform, nodes, batchPerProc int)
 			return TunedConfig{Config: c.cfg, ImagesPerSec: c.ips, Searched: searched}, nil
 		}
 	}
-	return TunedConfig{}, fmt.Errorf("core: selection failed for %s on %s", model, p.CPU.Label)
+	return TunedConfig{}, fmt.Errorf("runner: selection failed for %s on %s", model, p.CPU.Label)
 }
 
 // Insight is one row of the Section IX summary.
@@ -179,7 +112,11 @@ type Insight struct {
 
 // KeyInsights computes the paper's headline ratios from the simulator.
 func KeyInsights() ([]Insight, error) {
-	t, err := RunExperiment("insights")
+	e, err := Get("insights")
+	if err != nil {
+		return nil, err
+	}
+	t, err := e.Run()
 	if err != nil {
 		return nil, err
 	}

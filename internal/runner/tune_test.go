@@ -1,31 +1,10 @@
-package core
+package runner
 
 import (
-	"strings"
 	"testing"
 
 	"dnnperf/internal/hw"
 )
-
-func TestRunExperimentByID(t *testing.T) {
-	tbl, err := RunExperiment("table1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl.ID != "table1" {
-		t.Fatalf("got %q", tbl.ID)
-	}
-	if _, err := RunExperiment("fig0"); err == nil {
-		t.Fatal("unknown experiment must error")
-	}
-}
-
-func TestExperimentIDsComplete(t *testing.T) {
-	ids := ExperimentIDs()
-	if len(ids) < 25 {
-		t.Fatalf("only %d experiments registered", len(ids))
-	}
-}
 
 // TestBestConfigReproducesInsights checks the paper's Section IX tuning
 // table: best ppn is 2/4/4 for the 28/40/48-core Intel CPUs under
@@ -59,12 +38,6 @@ func TestBestConfigReproducesInsights(t *testing.T) {
 			t.Errorf("%s/%s: best ppn = %d, want one of %v (%.1f img/s over %d candidates)",
 				tc.platform.CPU.Label, tc.fw, best.Config.PPN, tc.wantPPN, best.ImagesPerSec, best.Searched)
 		}
-		// The tuned configuration must beat plain SP.
-		sp, err := RunExperiment("table1") // cheap warm-up to keep caches hot
-		_ = sp
-		if err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 
@@ -95,38 +68,6 @@ func TestKeyInsights(t *testing.T) {
 	for _, i := range ins {
 		if i.Measured <= 0 {
 			t.Fatalf("%s: measured %v", i.Name, i.Measured)
-		}
-	}
-}
-
-func TestWriteReport(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full suite in -short mode")
-	}
-	var sb strings.Builder
-	if err := WriteReport(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"# dnnperf reproduction report", "### fig17", "### ablations"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("report missing %q", want)
-		}
-	}
-}
-
-func TestRunAllRenders(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full suite in -short mode")
-	}
-	var sb strings.Builder
-	if err := RunAll(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, id := range ExperimentIDs() {
-		if !strings.Contains(out, id+" — ") {
-			t.Fatalf("RunAll output missing %s", id)
 		}
 	}
 }

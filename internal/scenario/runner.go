@@ -294,7 +294,7 @@ func runTrain(spec *Spec, opts Options) (*outcome, error) {
 		return nil, err
 	}
 	regs := newRegistries(n)
-	det := detect.New(detect.Config{}, regs[0], nil)
+	det := detect.New(regs[0], nil)
 	ctl := newTrainControl(spec, &js, fleet, det)
 	newModel, _, _ := js.Factories()
 

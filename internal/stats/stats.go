@@ -1,7 +1,6 @@
 // Package stats provides the measurement statistics the characterization
 // study uses: summaries of repeated runs (the paper averages three runs per
-// point), speedup/efficiency series, and simple linear regression for
-// scaling-trend analysis.
+// point) and speedup series.
 package stats
 
 import (
@@ -56,15 +55,6 @@ func Summarize(xs []float64) Summary {
 	return s
 }
 
-// RelStd returns the coefficient of variation (std/mean), the paper's
-// "jitter" measure. Zero-mean samples return +Inf.
-func (s Summary) RelStd() float64 {
-	if s.Mean == 0 {
-		return math.Inf(1)
-	}
-	return s.Std / math.Abs(s.Mean)
-}
-
 // String renders "mean ± std [min, max]".
 func (s Summary) String() string {
 	return fmt.Sprintf("%.4g ± %.2g [%.4g, %.4g] (n=%d)", s.Mean, s.Std, s.Min, s.Max, s.N)
@@ -81,71 +71,4 @@ func Speedups(throughput []float64) []float64 {
 		out[i] = v / throughput[0]
 	}
 	return out
-}
-
-// Efficiencies converts a throughput series with resource counts into
-// parallel efficiencies: speedup(i) / (counts[i]/counts[0]).
-func Efficiencies(throughput []float64, counts []int) ([]float64, error) {
-	if len(throughput) != len(counts) {
-		return nil, fmt.Errorf("stats: %d throughputs vs %d counts", len(throughput), len(counts))
-	}
-	sp := Speedups(throughput)
-	if sp == nil {
-		return nil, fmt.Errorf("stats: empty or zero-based series")
-	}
-	out := make([]float64, len(sp))
-	for i := range sp {
-		if counts[i] == 0 || counts[0] == 0 {
-			return nil, fmt.Errorf("stats: zero resource count at %d", i)
-		}
-		out[i] = sp[i] / (float64(counts[i]) / float64(counts[0]))
-	}
-	return out, nil
-}
-
-// LinFit fits y = a + b*x by least squares and returns (a, b, r²).
-func LinFit(x, y []float64) (a, b, r2 float64, err error) {
-	if len(x) != len(y) || len(x) < 2 {
-		return 0, 0, 0, fmt.Errorf("stats: need >= 2 paired points, got %d/%d", len(x), len(y))
-	}
-	n := float64(len(x))
-	var sx, sy, sxx, sxy, syy float64
-	for i := range x {
-		sx += x[i]
-		sy += y[i]
-		sxx += x[i] * x[i]
-		sxy += x[i] * y[i]
-		syy += y[i] * y[i]
-	}
-	den := n*sxx - sx*sx
-	if den == 0 {
-		return 0, 0, 0, fmt.Errorf("stats: degenerate x values")
-	}
-	b = (n*sxy - sx*sy) / den
-	a = (sy - b*sx) / n
-	ssTot := syy - sy*sy/n
-	if ssTot == 0 {
-		return a, b, 1, nil
-	}
-	var ssRes float64
-	for i := range x {
-		d := y[i] - (a + b*x[i])
-		ssRes += d * d
-	}
-	return a, b, 1 - ssRes/ssTot, nil
-}
-
-// GeoMean returns the geometric mean of positive values.
-func GeoMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, fmt.Errorf("stats: empty sample")
-	}
-	var logSum float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0, fmt.Errorf("stats: non-positive value %g", x)
-		}
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs))), nil
 }

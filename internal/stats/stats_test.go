@@ -35,71 +35,13 @@ func TestSummarizeEmptyPanics(t *testing.T) {
 	Summarize(nil)
 }
 
-func TestRelStd(t *testing.T) {
-	s := Summarize([]float64{99, 100, 101})
-	if rs := s.RelStd(); rs < 0.005 || rs > 0.015 {
-		t.Fatalf("RelStd %g", rs)
-	}
-	if !math.IsInf(Summary{}.RelStd(), 1) {
-		t.Fatal("zero mean must give +Inf")
-	}
-}
-
-func TestSpeedupsAndEfficiencies(t *testing.T) {
-	tp := []float64{10, 19, 36}
-	sp := Speedups(tp)
+func TestSpeedups(t *testing.T) {
+	sp := Speedups([]float64{10, 19, 36})
 	if sp[0] != 1 || sp[1] != 1.9 || sp[2] != 3.6 {
 		t.Fatalf("speedups %v", sp)
 	}
-	eff, err := Efficiencies(tp, []int{1, 2, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eff[0] != 1 || eff[1] != 0.95 || eff[2] != 0.9 {
-		t.Fatalf("efficiencies %v", eff)
-	}
 	if Speedups(nil) != nil {
 		t.Fatal("empty series")
-	}
-	if _, err := Efficiencies(tp, []int{1, 2}); err == nil {
-		t.Fatal("length mismatch must error")
-	}
-	if _, err := Efficiencies(tp, []int{0, 2, 4}); err == nil {
-		t.Fatal("zero count must error")
-	}
-}
-
-func TestLinFitExact(t *testing.T) {
-	x := []float64{1, 2, 3, 4}
-	y := []float64{3, 5, 7, 9} // y = 1 + 2x
-	a, b, r2, err := LinFit(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(a-1) > 1e-9 || math.Abs(b-2) > 1e-9 || math.Abs(r2-1) > 1e-9 {
-		t.Fatalf("fit a=%g b=%g r2=%g", a, b, r2)
-	}
-}
-
-func TestLinFitErrors(t *testing.T) {
-	if _, _, _, err := LinFit([]float64{1}, []float64{1}); err == nil {
-		t.Fatal("too few points must error")
-	}
-	if _, _, _, err := LinFit([]float64{2, 2}, []float64{1, 5}); err == nil {
-		t.Fatal("degenerate x must error")
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	g, err := GeoMean([]float64{1, 4})
-	if err != nil || math.Abs(g-2) > 1e-12 {
-		t.Fatalf("geomean %g %v", g, err)
-	}
-	if _, err := GeoMean([]float64{1, -1}); err == nil {
-		t.Fatal("negative must error")
-	}
-	if _, err := GeoMean(nil); err == nil {
-		t.Fatal("empty must error")
 	}
 }
 

@@ -6,8 +6,8 @@
 // or from direct per-step observations (the simulator's injection path).
 //
 // Per rank it maintains an EWMA of mean step latency. A rank is flagged as
-// a straggler when its EWMA exceeds Threshold x the median EWMA across
-// ranks for Window consecutive observations — the persistence requirement
+// a straggler when its EWMA exceeds threshold x the median EWMA across
+// ranks for window consecutive observations — the persistence requirement
 // keeps one garbage-collection hiccup from paging anyone. Results surface
 // as telemetry gauges (detect.step_skew{rank=N}, detect.straggler{rank=N}),
 // a counter (detect.straggler_flags) and train.straggler trace instants, so
@@ -23,37 +23,19 @@ import (
 	"dnnperf/internal/telemetry"
 )
 
-// Config tunes the detector.
-type Config struct {
-	// Alpha is the EWMA smoothing factor in (0,1]; higher reacts faster
-	// (default 0.4).
-	Alpha float64
-	// Threshold is the skew ratio over the median EWMA that marks a rank
-	// slow (default 1.5).
-	Threshold float64
-	// Window is how many consecutive over-threshold observations flag a
-	// persistent straggler (default 3).
-	Window int
-	// MinRanks is the minimum number of ranks with data before skew is
-	// meaningful (default 2).
-	MinRanks int
-}
-
-func (c Config) withDefaults() Config {
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.4
-	}
-	if c.Threshold <= 1 {
-		c.Threshold = 1.5
-	}
-	if c.Window <= 0 {
-		c.Window = 3
-	}
-	if c.MinRanks < 2 {
-		c.MinRanks = 2
-	}
-	return c
-}
+const (
+	// alpha is the EWMA smoothing factor in (0,1]; higher reacts faster.
+	alpha = 0.4
+	// threshold is the skew ratio over the median EWMA that marks a rank
+	// slow.
+	threshold = 1.5
+	// window is how many consecutive over-threshold observations flag a
+	// persistent straggler.
+	window = 3
+	// minRanks is the minimum number of ranks with data before skew is
+	// meaningful.
+	minRanks = 2
+)
 
 // rankState is one rank's running view.
 type rankState struct {
@@ -71,7 +53,6 @@ type rankState struct {
 
 // Detector consumes per-rank step latencies and flags stragglers.
 type Detector struct {
-	cfg    Config
 	reg    *telemetry.Registry
 	tracer *telemetry.Tracer
 	flags  *telemetry.Counter
@@ -83,9 +64,8 @@ type Detector struct {
 
 // New builds a detector. reg may be nil (detached handles); tracer may be
 // nil (no instants).
-func New(cfg Config, reg *telemetry.Registry, tracer *telemetry.Tracer) *Detector {
+func New(reg *telemetry.Registry, tracer *telemetry.Tracer) *Detector {
 	return &Detector{
-		cfg:    cfg.withDefaults(),
 		reg:    reg,
 		tracer: tracer,
 		flags:  reg.Counter("detect.straggler_flags"),
@@ -148,9 +128,9 @@ func (d *Detector) observe(rank int, latencyNS float64) {
 	if rs.ewma == 0 {
 		rs.ewma = latencyNS
 	} else {
-		rs.ewma = d.cfg.Alpha*latencyNS + (1-d.cfg.Alpha)*rs.ewma
+		rs.ewma = alpha*latencyNS + (1-alpha)*rs.ewma
 	}
-	if len(d.ranks) < d.cfg.MinRanks {
+	if len(d.ranks) < minRanks {
 		return
 	}
 
@@ -168,7 +148,7 @@ func (d *Detector) observe(rank int, latencyNS float64) {
 		if skew > maxSkew {
 			maxSkew = skew
 		}
-		if skew > d.cfg.Threshold {
+		if skew > threshold {
 			st.over++
 		} else {
 			st.over = 0
@@ -177,7 +157,7 @@ func (d *Detector) observe(rank int, latencyNS float64) {
 				st.flagGauge.Set(0)
 			}
 		}
-		if st.over >= d.cfg.Window && !st.flag {
+		if st.over >= window && !st.flag {
 			st.flag = true
 			st.flagGauge.Set(1)
 			d.flags.Inc()

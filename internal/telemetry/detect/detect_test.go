@@ -13,7 +13,7 @@ import (
 func TestDetectorFlagsInjectedStragglerWithin10Steps(t *testing.T) {
 	reg := telemetry.New()
 	tracer := telemetry.NewTracer()
-	d := New(Config{}, reg, tracer)
+	d := New(reg, tracer)
 
 	const ranks, slow = 4, 2
 	flaggedAt := 0
@@ -70,7 +70,7 @@ func TestDetectorFlagsInjectedStragglerWithin10Steps(t *testing.T) {
 // TestDetectorUnflagsRecoveredRank: a straggler that speeds back up loses
 // its flag once its skew falls under the threshold.
 func TestDetectorUnflagsRecoveredRank(t *testing.T) {
-	d := New(Config{}, nil, nil)
+	d := New(nil, nil)
 	feed := func(steps int, slowFactor float64) {
 		for s := 0; s < steps; s++ {
 			for r := 0; r < 3; r++ {
@@ -95,7 +95,7 @@ func TestDetectorUnflagsRecoveredRank(t *testing.T) {
 // TestDetectorObserveSnapshot: the live path derives per-interval mean step
 // latency from train.step_ns histogram deltas in pushed snapshots.
 func TestDetectorObserveSnapshot(t *testing.T) {
-	d := New(Config{}, nil, nil)
+	d := New(nil, nil)
 	push := func(rank int, sum, count int64) {
 		d.ObserveSnapshot(telemetry.Snapshot{
 			Rank: rank,
@@ -132,7 +132,7 @@ func TestDetectorObserveSnapshot(t *testing.T) {
 
 // TestDetectorNeedsMinRanks: one rank alone can have no skew.
 func TestDetectorNeedsMinRanks(t *testing.T) {
-	d := New(Config{}, nil, nil)
+	d := New(nil, nil)
 	for i := 0; i < 20; i++ {
 		d.ObserveStep(0, time.Second)
 	}

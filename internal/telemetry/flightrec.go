@@ -39,8 +39,7 @@ func NewFlightRecorder(capacity int) *FlightRecorder {
 }
 
 // add records one event, overwriting the oldest when full. Called by the
-// owning Tracer with its own lock held; the recorder's lock makes direct
-// Record calls safe too.
+// owning Tracer with its own lock held.
 func (f *FlightRecorder) add(ev TraceEvent) {
 	if f == nil {
 		return
@@ -58,9 +57,6 @@ func (f *FlightRecorder) add(ev TraceEvent) {
 	}
 	f.mu.Unlock()
 }
-
-// Record appends one event directly (for producers without a Tracer).
-func (f *FlightRecorder) Record(ev TraceEvent) { f.add(ev) }
 
 // Len reports how many events the ring currently holds.
 func (f *FlightRecorder) Len() int {

@@ -26,18 +26,18 @@ import (
 // and counts it under telemetry.dropped_pushes instead of blocking or
 // piling up garbage.
 //
-// The sink can be swapped mid-run (SetSink) but the publisher also survives
-// elastic shrink/restart without intervention when it publishes over the
-// parent communicator: sub-communicators derived by Shrink reuse the parent
-// transport, so the original rank numbering and routes stay valid for every
-// survivor.
+// The publisher survives elastic shrink/restart without intervention when
+// it publishes over the parent communicator: sub-communicators derived by
+// Shrink reuse the parent transport, so the original rank numbering and
+// routes stay valid for every survivor.
 type Publisher struct {
 	reg    *Registry
 	tracer *Tracer
 
-	mu     sync.Mutex
-	sink   func([]byte) error
-	rank   int
+	sink func([]byte) error // nil pauses publishing
+	rank int
+
+	mu     sync.Mutex   // guards the encode scratch below
 	cursor int          // tracer read position (AppendEventsSince)
 	snap   Snapshot     // reusable snapshot scratch
 	events []TraceEvent // reusable event-delta scratch
@@ -108,19 +108,6 @@ func NewPublisher(reg *Registry, tracer *Tracer, sink func([]byte) error, opts P
 	return p
 }
 
-// SetSink atomically replaces the sink and the published rank id. A nil
-// sink pauses publishing (pushes are skipped, not errors) — used when the
-// server's host rank died and there is nowhere left to push.
-func (p *Publisher) SetSink(rank int, sink func([]byte) error) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.rank = rank
-	p.sink = sink
-	p.mu.Unlock()
-}
-
 // encode snapshots the registry and the trace delta into the reusable
 // scratch and serializes the bundle into buf. The cursor advances even if a
 // later stage fails or drops — the publisher is lossy, never repeating.
@@ -142,10 +129,7 @@ func (p *Publisher) Publish() error {
 	if p == nil || p.stopped.Load() {
 		return nil
 	}
-	p.mu.Lock()
-	sink := p.sink
-	p.mu.Unlock()
-	if sink == nil {
+	if p.sink == nil {
 		return nil
 	}
 	buf := <-p.free
@@ -164,10 +148,7 @@ func (p *Publisher) Publish() error {
 // the push is dropped and counted, so a slow sink costs the training run
 // nothing but staleness.
 func (p *Publisher) publishAsync() {
-	p.mu.Lock()
-	sink := p.sink
-	p.mu.Unlock()
-	if sink == nil {
+	if p.sink == nil {
 		return
 	}
 	var buf *bytes.Buffer
@@ -243,17 +224,14 @@ func (p *Publisher) pushLoop() {
 	}
 }
 
+// deliver pushes one bundle. Only bundles encoded for a non-nil sink are
+// queued, so the sink is always set here.
 func (p *Publisher) deliver(req pushReq) {
-	p.mu.Lock()
-	sink := p.sink
-	p.mu.Unlock()
-	var err error
-	if sink != nil {
-		if err = sink(req.buf.Bytes()); err != nil {
-			p.errors.Inc()
-		} else {
-			p.publishes.Inc()
-		}
+	err := p.sink(req.buf.Bytes())
+	if err != nil {
+		p.errors.Inc()
+	} else {
+		p.publishes.Inc()
 	}
 	p.free <- req.buf
 	if req.errCh != nil {

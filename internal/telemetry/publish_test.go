@@ -3,6 +3,7 @@ package telemetry
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -84,7 +85,15 @@ func TestPublisherPushesSnapshotAndEventDeltas(t *testing.T) {
 func TestPublisherCountsSinkErrors(t *testing.T) {
 	reg := New()
 	fail := errors.New("wire down")
-	p := NewPublisher(reg, nil, func([]byte) error { return fail }, PublisherOptions{Interval: slowInterval})
+	sink := &collectSink{}
+	var down atomic.Bool
+	down.Store(true)
+	p := NewPublisher(reg, nil, func(b []byte) error {
+		if down.Load() {
+			return fail
+		}
+		return sink.push(b)
+	}, PublisherOptions{Interval: slowInterval})
 	defer p.Stop()
 	if err := p.Publish(); !errors.Is(err, fail) {
 		t.Fatalf("Publish err = %v, want %v", err, fail)
@@ -92,19 +101,18 @@ func TestPublisherCountsSinkErrors(t *testing.T) {
 	if got := reg.Snapshot().Counters["telemetry.publish_errors"]; got < 1 {
 		t.Errorf("publish_errors = %d, want >= 1", got)
 	}
-	// Still alive: a healthy sink works afterwards.
-	sink := &collectSink{}
-	p.SetSink(0, sink.push)
+	// Still alive: pushes succeed once the sink recovers.
+	down.Store(false)
 	if err := p.Publish(); err != nil {
-		t.Fatalf("after SetSink: %v", err)
+		t.Fatalf("after the sink recovered: %v", err)
 	}
 	if len(sink.all()) != 1 {
 		t.Errorf("recovered sink got %d bundles, want 1", len(sink.all()))
 	}
 }
 
-// TestPublisherNilSinkPauses: SetSink(nil) skips pushes without errors —
-// the host rank died and there is nowhere to push.
+// TestPublisherNilSinkPauses: a nil sink skips pushes without errors —
+// there is nowhere to push.
 func TestPublisherNilSinkPauses(t *testing.T) {
 	reg := New()
 	p := NewPublisher(reg, nil, nil, PublisherOptions{Interval: slowInterval})
@@ -136,7 +144,6 @@ func TestPublisherStopFlushesFinalBundle(t *testing.T) {
 	}
 	var nilPub *Publisher
 	nilPub.Stop()
-	nilPub.SetSink(0, nil)
 	if err := nilPub.Publish(); err != nil {
 		t.Errorf("nil publisher Publish: %v", err)
 	}

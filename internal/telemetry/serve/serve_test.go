@@ -143,7 +143,7 @@ func TestHandlers(t *testing.T) {
 	reg := telemetry.New()
 	reg.Counter("work").Add(3)
 	health := telemetry.NewHealth()
-	det := detect.New(detect.Config{}, nil, nil)
+	det := detect.New(nil, nil)
 	srv := New(NewStore(0), health, det)
 	srv.Store().Update(telemetry.Bundle{
 		Snapshot: reg.Snapshot(),
@@ -256,7 +256,7 @@ func TestLiveEndpointFourRanks(t *testing.T) {
 
 	// Rank 0 hosts the plane: store + detector + HTTP server + collector.
 	health := telemetry.NewHealth()
-	det := detect.New(detect.Config{}, regs[0], nil)
+	det := detect.New(regs[0], nil)
 	srv := New(NewStore(0), health, det)
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {

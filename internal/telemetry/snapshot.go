@@ -62,18 +62,6 @@ func (r *Registry) SnapshotInto(s *Snapshot) {
 	r.mu.Unlock()
 }
 
-// Encode serializes the snapshot for transport (the mpi gather to rank 0).
-func (s Snapshot) Encode() ([]byte, error) { return json.Marshal(s) }
-
-// DecodeSnapshot parses an encoded snapshot.
-func DecodeSnapshot(b []byte) (Snapshot, error) {
-	var s Snapshot
-	if err := json.Unmarshal(b, &s); err != nil {
-		return Snapshot{}, fmt.Errorf("telemetry: decode snapshot: %w", err)
-	}
-	return s, nil
-}
-
 // MergedMetrics is the merged per-rank metrics document written by rank 0:
 // every rank's snapshot plus job-wide counter totals (sums across ranks).
 // Truncated marks a partial document written on an error path — the job

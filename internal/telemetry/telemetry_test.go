@@ -88,15 +88,15 @@ func TestSnapshotEncodeDecodeMerge(t *testing.T) {
 	s1 := r1.Snapshot()
 	s1.Rank = 1
 
-	raw, err := s1.Encode()
+	raw, err := Bundle{Snapshot: s1}.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodeSnapshot(raw)
+	back, err := DecodeBundle(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Rank != 1 || back.Counters["horovod.engine_allreduces"] != 12 {
+	if back.Snapshot.Rank != 1 || back.Snapshot.Counters["horovod.engine_allreduces"] != 12 {
 		t.Fatalf("roundtrip lost data: %+v", back)
 	}
 

@@ -180,9 +180,9 @@ func (t *Tracer) CompleteArgs(name, cat string, tid int, start time.Time, d time
 	t.mu.Lock()
 	t.record(TraceEvent{
 		Name: name, Cat: cat, Ph: "X",
-		TS:   float64(start.Sub(t.epoch)) / float64(time.Microsecond),
-		Dur:  float64(d) / float64(time.Microsecond),
-		PID:  t.pid, TID: tid,
+		TS:  float64(start.Sub(t.epoch)) / float64(time.Microsecond),
+		Dur: float64(d) / float64(time.Microsecond),
+		PID: t.pid, TID: tid,
 		Args: args,
 	})
 	t.mu.Unlock()
@@ -269,27 +269,10 @@ func (t *Tracer) Events() []TraceEvent {
 	return append([]TraceEvent(nil), t.events...)
 }
 
-// EventsSince returns a copy of the events recorded at index cursor and
-// later, plus the new cursor — the incremental read the live Publisher
-// uses so each push carries only the delta since the previous one.
-func (t *Tracer) EventsSince(cursor int) ([]TraceEvent, int) {
-	if t == nil {
-		return nil, cursor
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if cursor < 0 {
-		cursor = 0
-	}
-	if cursor >= len(t.events) {
-		return nil, len(t.events)
-	}
-	return append([]TraceEvent(nil), t.events[cursor:]...), len(t.events)
-}
-
 // AppendEventsSince appends the events recorded at index cursor and later
-// to dst and returns it plus the new cursor — EventsSince without the fresh
-// slice per call, so the Publisher's periodic delta reads reuse one buffer.
+// to dst and returns it plus the new cursor — the incremental read the live
+// Publisher uses so each push carries only the delta since the previous
+// one, into a reused buffer.
 func (t *Tracer) AppendEventsSince(dst []TraceEvent, cursor int) ([]TraceEvent, int) {
 	if t == nil {
 		return dst, cursor
@@ -304,7 +287,3 @@ func (t *Tracer) AppendEventsSince(dst []TraceEvent, cursor int) ([]TraceEvent, 
 	}
 	return append(dst, t.events[cursor:]...), len(t.events)
 }
-
-// Enabled reports whether the tracer is live — for callers that want to
-// skip building span names when tracing is off.
-func (t *Tracer) Enabled() bool { return t != nil }

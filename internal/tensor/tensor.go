@@ -37,11 +37,6 @@ func FromSlice(data []float32, shape ...int) *Tensor {
 	return &Tensor{shape: append([]int(nil), shape...), data: data}
 }
 
-// Scalar returns a 0-dim tensor holding v.
-func Scalar(v float32) *Tensor {
-	return &Tensor{shape: []int{}, data: []float32{v}}
-}
-
 // Full returns a tensor with every element set to v.
 func Full(v float32, shape ...int) *Tensor {
 	t := New(shape...)
@@ -151,19 +146,6 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 		panic(fmt.Sprintf("tensor: reshape %v to %v changes element count", t.shape, shape))
 	}
 	return &Tensor{shape: shape, data: t.data}
-}
-
-// SameShape reports whether t and u have identical shapes.
-func (t *Tensor) SameShape(u *Tensor) bool {
-	if len(t.shape) != len(u.shape) {
-		return false
-	}
-	for i := range t.shape {
-		if t.shape[i] != u.shape[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Zero sets all elements to zero.

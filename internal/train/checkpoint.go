@@ -21,7 +21,7 @@ import (
 
 // Checkpoint format (little endian):
 //
-// v1 — weights only:
+// v1 — weights only (read, no longer written):
 //
 //	magic "DNPF" | version u32 | varCount u32 |
 //	repeat: nameLen u32 | name | rank u32 | dims u32... | payload f32... |
@@ -115,24 +115,6 @@ func RestoreTrainState(m *models.Model, opt Optimizer, st *TrainState) error {
 	return so.ImportState(m.G, st.Slots)
 }
 
-// SaveCheckpoint writes every materialized variable of the model to w in
-// the v1 (weights-only) format.
-func SaveCheckpoint(w io.Writer, m *models.Model) error {
-	crc := crc32.NewIEEE()
-	out := io.MultiWriter(w, crc)
-
-	if _, err := io.WriteString(out, ckptMagic); err != nil {
-		return err
-	}
-	if err := writeU32(out, ckptVersion); err != nil {
-		return err
-	}
-	if err := writeVars(out, m); err != nil {
-		return err
-	}
-	return writeTrailer(w, crc)
-}
-
 // SaveTrainingCheckpoint writes a v2 checkpoint: the model's weights plus
 // the training state (step, schedule position, optimizer slots).
 func SaveTrainingCheckpoint(w io.Writer, m *models.Model, st *TrainState) error {
@@ -175,15 +157,6 @@ func SaveTrainingCheckpoint(w io.Writer, m *models.Model, st *TrainState) error 
 		}
 	}
 	return writeTrailer(w, crc)
-}
-
-// LoadCheckpoint restores variables into the model, accepting v1 and v2
-// checkpoints (any v2 training state is discarded). Every checkpoint
-// variable must exist in the model with an identical shape; model variables
-// absent from the checkpoint keep their initialization.
-func LoadCheckpoint(r io.Reader, m *models.Model) error {
-	_, err := LoadTrainingCheckpoint(r, m)
-	return err
 }
 
 // LoadTrainingCheckpoint restores variables into the model and returns the
@@ -412,22 +385,10 @@ func writeTrailer(w io.Writer, crc interface{ Sum32() uint32 }) error {
 	return err
 }
 
-// SaveCheckpointFile writes the model's weights (v1) to path atomically and
-// durably.
-func SaveCheckpointFile(path string, m *models.Model) error {
-	return saveFileAtomic(path, func(w io.Writer) error { return SaveCheckpoint(w, m) })
-}
-
 // SaveTrainingCheckpointFile writes a v2 checkpoint to path atomically and
 // durably.
 func SaveTrainingCheckpointFile(path string, m *models.Model, st *TrainState) error {
 	return saveFileAtomic(path, func(w io.Writer) error { return SaveTrainingCheckpoint(w, m, st) })
-}
-
-// LoadCheckpointFile restores weights from path (v1 or v2).
-func LoadCheckpointFile(path string, m *models.Model) error {
-	_, err := LoadTrainingCheckpointFile(path, m)
-	return err
 }
 
 // LoadTrainingCheckpointFile restores weights and training state from path.

@@ -121,11 +121,11 @@ func TestResumeWithoutStateDiverges(t *testing.T) {
 	optB := newTestOptimizer("momentum")
 	lossTrajectory(t, mB, optB, batches[:split])
 	var buf bytes.Buffer
-	if err := SaveCheckpoint(&buf, mB); err != nil { // v1: weights only
+	if err := SaveTrainingCheckpoint(&buf, mB, nil); err != nil { // weights only
 		t.Fatal(err)
 	}
 	mC := tinyModel(999, 8)
-	if err := LoadCheckpoint(bytes.NewReader(buf.Bytes()), mC); err != nil {
+	if _, err := LoadTrainingCheckpoint(bytes.NewReader(buf.Bytes()), mC); err != nil {
 		t.Fatal(err)
 	}
 	rest := lossTrajectory(t, mC, newTestOptimizer("momentum"), batches[split:])
@@ -205,20 +205,19 @@ func TestTrainingCheckpointCapturesState(t *testing.T) {
 	}
 }
 
+// v1Fixture is a v1 (weights-only) checkpoint of tinyModel(6, 2), written
+// by the v1 writer before it was retired.
+const v1Fixture = "testdata/v1.ckpt"
+
 // TestV1CheckpointStillLoads: the compatibility rule — a v1 (weights-only)
-// stream loads into both LoadCheckpoint and LoadTrainingCheckpoint, the
-// latter reporting Version 1 with zero training state.
+// file loads, reporting Version 1 with zero training state.
 func TestV1CheckpointStillLoads(t *testing.T) {
 	m := tinyModel(6, 2)
 	for _, v := range m.G.Variables() {
 		v.Materialize()
 	}
-	var buf bytes.Buffer
-	if err := SaveCheckpoint(&buf, m); err != nil {
-		t.Fatal(err)
-	}
 	m2 := tinyModel(7, 2)
-	st, err := LoadTrainingCheckpoint(bytes.NewReader(buf.Bytes()), m2)
+	st, err := LoadTrainingCheckpointFile(v1Fixture, m2)
 	if err != nil {
 		t.Fatal(err)
 	}

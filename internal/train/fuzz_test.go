@@ -2,6 +2,7 @@ package train
 
 import (
 	"bytes"
+	"os"
 	"testing"
 )
 
@@ -14,15 +15,15 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	for _, v := range m.G.Variables() {
 		v.Materialize()
 	}
-	var v1 bytes.Buffer
-	if err := SaveCheckpoint(&v1, m); err != nil {
+	v1, err := os.ReadFile(v1Fixture)
+	if err != nil {
 		f.Fatal(err)
 	}
 	var v2 bytes.Buffer
 	if err := SaveTrainingCheckpoint(&v2, m, CaptureTrainState(newTestOptimizer("momentum"), 7)); err != nil {
 		f.Fatal(err)
 	}
-	for _, raw := range [][]byte{v1.Bytes(), v2.Bytes()} {
+	for _, raw := range [][]byte{v1, v2.Bytes()} {
 		f.Add(raw)
 		for _, n := range []int{0, 4, 8, len(raw) / 2, len(raw) - 1} {
 			f.Add(append([]byte(nil), raw[:n]...))
@@ -45,14 +46,8 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		// Whatever loaded must save back to a loadable stream carrying the
 		// same training state.
 		var buf bytes.Buffer
-		if st.Version >= 2 {
-			if err := SaveTrainingCheckpoint(&buf, m2, st); err != nil {
-				t.Fatalf("re-save of loaded checkpoint failed: %v", err)
-			}
-		} else {
-			if err := SaveCheckpoint(&buf, m2); err != nil {
-				t.Fatalf("re-save of loaded v1 checkpoint failed: %v", err)
-			}
+		if err := SaveTrainingCheckpoint(&buf, m2, st); err != nil {
+			t.Fatalf("re-save of loaded checkpoint failed: %v", err)
 		}
 		m3 := tinyModel(17, 2)
 		st2, err := LoadTrainingCheckpoint(bytes.NewReader(buf.Bytes()), m3)

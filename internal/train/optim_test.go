@@ -138,7 +138,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		v.Materialize()
 	}
 	var buf bytes.Buffer
-	if err := SaveCheckpoint(&buf, m); err != nil {
+	if err := SaveTrainingCheckpoint(&buf, m, nil); err != nil {
 		t.Fatal(err)
 	}
 	saved := make([]*tensor.Tensor, 0)
@@ -147,7 +147,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		v.Value.Fill(-7) // scramble
 	}
 	m2 := models.TinyCNN(models.Config{Batch: 2, ImageSize: 16, Classes: 4, Seed: 999})
-	if err := LoadCheckpoint(bytes.NewReader(buf.Bytes()), m2); err != nil {
+	if _, err := LoadTrainingCheckpoint(bytes.NewReader(buf.Bytes()), m2); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range m2.G.Variables() {
@@ -160,30 +160,30 @@ func TestCheckpointRoundTrip(t *testing.T) {
 func TestCheckpointDetectsCorruption(t *testing.T) {
 	m := models.TinyCNN(models.Config{Batch: 2, ImageSize: 16, Classes: 4, Seed: 6})
 	var buf bytes.Buffer
-	if err := SaveCheckpoint(&buf, m); err != nil {
+	if err := SaveTrainingCheckpoint(&buf, m, nil); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
 	raw[len(raw)/2] ^= 0xff // flip a payload byte
 	m2 := models.TinyCNN(models.Config{Batch: 2, ImageSize: 16, Classes: 4, Seed: 6})
-	if err := LoadCheckpoint(bytes.NewReader(raw), m2); err == nil {
+	if _, err := LoadTrainingCheckpoint(bytes.NewReader(raw), m2); err == nil {
 		t.Fatal("corruption must be detected")
 	}
 }
 
 func TestCheckpointRejectsBadMagicAndShape(t *testing.T) {
 	m := models.TinyCNN(models.Config{Batch: 2, ImageSize: 16, Classes: 4, Seed: 6})
-	if err := LoadCheckpoint(bytes.NewReader([]byte("NOPE....")), m); err == nil {
+	if _, err := LoadTrainingCheckpoint(bytes.NewReader([]byte("NOPE....")), m); err == nil {
 		t.Fatal("bad magic must error")
 	}
 	// Save a 16px model, load into a model with different head: class count
 	// changes the fc shapes.
 	var buf bytes.Buffer
-	if err := SaveCheckpoint(&buf, m); err != nil {
+	if err := SaveTrainingCheckpoint(&buf, m, nil); err != nil {
 		t.Fatal(err)
 	}
 	other := models.TinyCNN(models.Config{Batch: 2, ImageSize: 16, Classes: 7, Seed: 6})
-	if err := LoadCheckpoint(bytes.NewReader(buf.Bytes()), other); err == nil {
+	if _, err := LoadTrainingCheckpoint(bytes.NewReader(buf.Bytes()), other); err == nil {
 		t.Fatal("shape mismatch must error")
 	}
 }
@@ -195,17 +195,17 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	for _, v := range m.G.Variables() {
 		v.Materialize()
 	}
-	if err := SaveCheckpointFile(path, m); err != nil {
+	if err := SaveTrainingCheckpointFile(path, m, nil); err != nil {
 		t.Fatal(err)
 	}
 	m2 := models.TinyCNN(models.Config{Batch: 2, ImageSize: 16, Classes: 4, Seed: 1})
-	if err := LoadCheckpointFile(path, m2); err != nil {
+	if _, err := LoadTrainingCheckpointFile(path, m2); err != nil {
 		t.Fatal(err)
 	}
 	if m2.G.Variables()[0].Value.MaxAbsDiff(m.G.Variables()[0].Value) != 0 {
 		t.Fatal("file round trip failed")
 	}
-	if err := LoadCheckpointFile(filepath.Join(dir, "missing.ckpt"), m2); err == nil {
+	if _, err := LoadTrainingCheckpointFile(filepath.Join(dir, "missing.ckpt"), m2); err == nil {
 		t.Fatal("missing file must error")
 	}
 }
@@ -237,13 +237,13 @@ func TestCheckpointResumeTraining(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := SaveCheckpoint(&buf, mB); err != nil {
+	if err := SaveTrainingCheckpoint(&buf, mB, nil); err != nil {
 		t.Fatal(err)
 	}
 	trB.Close()
 
 	mC := models.TinyCNN(models.Config{Batch: 8, ImageSize: 16, Classes: 4, Seed: 777})
-	if err := LoadCheckpoint(bytes.NewReader(buf.Bytes()), mC); err != nil {
+	if _, err := LoadTrainingCheckpoint(bytes.NewReader(buf.Bytes()), mC); err != nil {
 		t.Fatal(err)
 	}
 	trC, _ := New(Config{Model: mC, LR: 0.05})

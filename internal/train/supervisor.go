@@ -162,12 +162,6 @@ type SupervisorConfig struct {
 	// for n >= 0 — so the zero value is a rigid run that fails with the typed
 	// *mpi.PeerError on the first rank loss — and unlimited when negative.
 	MaxRecoveries int
-	// ShrinkRetries bounds survivor-agreement attempts per recovery
-	// (default 3).
-	ShrinkRetries int
-	// Backoff is the wait between shrink attempts, doubled each retry
-	// (default 50ms).
-	Backoff time.Duration
 	// Telemetry, if set, is passed to the trainer and records supervisor
 	// events: train.recoveries, train.shrink_attempts, train.checkpoints.
 	Telemetry *telemetry.Registry
@@ -218,12 +212,6 @@ func (c SupervisorConfig) withDefaults() (SupervisorConfig, error) {
 	}
 	if c.Steps < 1 {
 		return c, fmt.Errorf("train: supervisor steps %d < 1", c.Steps)
-	}
-	if c.ShrinkRetries <= 0 {
-		c.ShrinkRetries = 3
-	}
-	if c.Backoff <= 0 {
-		c.Backoff = 50 * time.Millisecond
 	}
 	if c.KeepCkpts == 0 {
 		c.KeepCkpts = 3
@@ -597,6 +585,13 @@ func (s *supervisor) build(comm *mpi.Comm, prev *horovod.Engine, live bool) (*in
 	return &incarnation{comm: comm, eng: eng, model: model, opt: opt, trainer: tr, gen: gen}, nil
 }
 
+const (
+	// shrinkRetries bounds survivor-agreement attempts per recovery.
+	shrinkRetries = 3
+	// shrinkBackoff is the wait between shrink attempts, doubled each retry.
+	shrinkBackoff = 50 * time.Millisecond
+)
+
 // recover runs the shrink-and-resume sequence after a step failed with a
 // typed peer error naming a suspect.
 func (s *supervisor) recover(suspects []int) error {
@@ -611,9 +606,9 @@ func (s *supervisor) recover(suspects []int) error {
 	var newComm *mpi.Comm
 	var survivors []int
 	var err error
-	backoff := s.cfg.Backoff
+	backoff := shrinkBackoff
 	noQuorum := 0
-	for attempt := 0; attempt < s.cfg.ShrinkRetries; attempt++ {
+	for attempt := 0; attempt < shrinkRetries; attempt++ {
 		s.shrinkAttempts.Inc()
 		newComm, survivors, err = old.comm.Shrink(suspects,
 			mpi.ShrinkOptions{Epoch: s.epoch, AllowMinority: s.cfg.AllowMinority})
@@ -631,7 +626,7 @@ func (s *supervisor) recover(suspects []int) error {
 			// collectives' deadlines look dead). Park only once the verdict
 			// repeats or the retry budget is gone; a real partition returns
 			// the same count every time.
-			if noQuorum++; noQuorum >= 2 || attempt == s.cfg.ShrinkRetries-1 {
+			if noQuorum++; noQuorum >= 2 || attempt == shrinkRetries-1 {
 				return s.park(old)
 			}
 			time.Sleep(backoff)
@@ -646,7 +641,7 @@ func (s *supervisor) recover(suspects []int) error {
 		backoff *= 2
 	}
 	if err != nil {
-		return fmt.Errorf("survivor agreement failed after %d attempts: %w", s.cfg.ShrinkRetries, err)
+		return fmt.Errorf("survivor agreement failed after %d attempts: %w", shrinkRetries, err)
 	}
 
 	// Any grow boundary announced on the old engines died with them; the

@@ -72,19 +72,6 @@ func CheckMemory(cfg Config) (perNodeBytes int64, fits bool, err error) {
 	return perNode, perNode <= int64(cfg.CPU.MemGB)<<30, nil
 }
 
-// RequireMemory returns an error when the configuration exceeds node memory.
-func RequireMemory(cfg Config) error {
-	perNode, fits, err := CheckMemory(cfg)
-	if err != nil {
-		return err
-	}
-	if !fits {
-		return fmt.Errorf("trainsim: %s at BS %d x %d ppn needs %.1f GB/node but %s has %d GB",
-			cfg.Model, cfg.BatchPerProc, cfg.PPN, float64(perNode)/(1<<30), cfg.CPU.Label, cfg.CPU.MemGB)
-	}
-	return nil
-}
-
 // NodesFor inverts the throughput model: the smallest node count at which
 // the configuration reaches targetIPS, searched up to maxNodes. A capacity
 // planning helper built on Simulate.

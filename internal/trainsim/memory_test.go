@@ -1,7 +1,6 @@
 package trainsim
 
 import (
-	"strings"
 	"testing"
 
 	"dnnperf/internal/hw"
@@ -41,9 +40,6 @@ func TestCheckMemoryFlagsOversizedJobs(t *testing.T) {
 	if _, fits, err := CheckMemory(ok); err != nil || !fits {
 		t.Fatalf("normal config must fit: fits=%v err=%v", fits, err)
 	}
-	if err := RequireMemory(ok); err != nil {
-		t.Fatal(err)
-	}
 	// ResNet-152 at batch 1024 x 4 ranks cannot fit 192 GB.
 	huge := Config{Model: "resnet152", CPU: hw.Skylake3, PPN: 4, BatchPerProc: 1024}
 	_, fits, err := CheckMemory(huge)
@@ -52,10 +48,6 @@ func TestCheckMemoryFlagsOversizedJobs(t *testing.T) {
 	}
 	if fits {
 		t.Fatal("1024x4 ResNet-152 must exceed 192 GB")
-	}
-	err = RequireMemory(huge)
-	if err == nil || !strings.Contains(err.Error(), "GB") {
-		t.Fatalf("RequireMemory error: %v", err)
 	}
 }
 

@@ -27,8 +27,6 @@ type StragglerConfig struct {
 	SlowRank int
 	// SlowFactor multiplies the slow rank's step latency (default 2.0).
 	SlowFactor float64
-	// Detect tunes the detector (zero value = defaults).
-	Detect detect.Config
 	// Telemetry/Tracer, if set, receive the detector's gauges and
 	// train.straggler instants.
 	Telemetry *telemetry.Registry
@@ -75,7 +73,7 @@ func SimulateStraggler(cfg StragglerConfig) (StragglerResult, error) {
 		return StragglerResult{}, fmt.Errorf("trainsim: slow rank %d out of range [0,%d)", cfg.SlowRank, ranks)
 	}
 
-	det := detect.New(cfg.Detect, cfg.Telemetry, cfg.Tracer)
+	det := detect.New(cfg.Telemetry, cfg.Tracer)
 	baseNS := base.IterTimeSec * 1e9
 	res := StragglerResult{Ranks: ranks, Steps: cfg.Steps, BaseStep: time.Duration(baseNS)}
 
